@@ -221,17 +221,5 @@ inline void PrintHeader(const std::string& title) {
   std::printf("\n== %s ==\n", title.c_str());
 }
 
-inline void PrintRowLabel(const char* label) { std::printf("%-8s", label); }
-
-/// "absent" rendering used when a method exceeded its budget (the paper
-/// omits such bars from the figure).
-inline std::string CellOrAbsent(bool present, double value,
-                                const char* fmt = "%8.3f") {
-  if (!present) return "   absent";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), fmt, value);
-  return buf;
-}
-
 }  // namespace bench
 }  // namespace gvex

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -831,38 +832,50 @@ bool RetryableShed(StatusCode code) {
   return code == StatusCode::kOverloaded || code == StatusCode::kQuotaExceeded;
 }
 
-Status CmdClient(const Flags& flags) {
-  GVEX_ASSIGN_OR_RETURN(serve::Request req, BuildClientRequest(flags));
-
-  // --retry N: re-issue a request shed with kOverloaded (exit 12) or
-  // kQuotaExceeded (exit 13) up to N more times, sleeping the shared
-  // exponential backoff schedule between attempts (SERVING.md "overload
-  // and retries"; see RetryableShed for why timeouts stay final).
+/// Issues `req` through `call`; with --retry N, re-issues a load-shed
+/// response (RetryableShed) up to N more times, sleeping the shared
+/// exponential backoff schedule (--retry-backoff-ms) between attempts.
+/// A transport error from `call` is returned at once.
+Result<serve::Response> CallWithRetry(
+    const Flags& flags,
+    const std::function<Result<serve::Response>(const serve::Request&)>& call,
+    const serve::Request& req) {
   const int retries = static_cast<int>(flags.GetInt("retry", 0));
   const uint32_t backoff_ms =
       static_cast<uint32_t>(flags.GetInt("retry-backoff-ms", 100));
+  for (int attempt = 1;; ++attempt) {
+    GVEX_ASSIGN_OR_RETURN(serve::Response resp, call(req));
+    if (!RetryableShed(resp.code) || attempt > retries) return resp;
+    std::this_thread::sleep_for(std::chrono::milliseconds(
+        cluster::RetryBackoffMs(attempt, backoff_ms, 10000)));
+  }
+}
 
-  serve::Response resp;
+Status CmdClient(const Flags& flags) {
+  GVEX_ASSIGN_OR_RETURN(serve::Request req, BuildClientRequest(flags));
+
+  // Each mode binds `call`; --retry N re-issues a request shed with
+  // kOverloaded (exit 12) or kQuotaExceeded (exit 13) through it (see
+  // CallWithRetry and SERVING.md "overload and retries").
+  std::function<Result<serve::Response>(const serve::Request&)> call;
+  serve::ViewRegistry registry;
+  std::optional<serve::ExplanationServer> server;  // stopped on return
+  std::unique_ptr<cluster::ShardRouter> router;
+  serve::SocketClient client;
   if (auto local_views = flags.Get("local")) {
     // In-process mode: the exact same Execute path as a remote server,
     // minus the wire. The smoke test diffs this against the socket path.
-    serve::ViewRegistry registry;
     GVEX_RETURN_NOT_OK(registry.LoadViews(*local_views));
     if (auto model_path = flags.Get("model")) {
       GVEX_RETURN_NOT_OK(registry.LoadModel(*model_path));
     }
     serve::ServerOptions options;
     options.num_workers = static_cast<size_t>(flags.GetInt("workers", 1));
-    serve::ExplanationServer server(&registry, options);
-    GVEX_RETURN_NOT_OK(server.Start());
-    serve::ServeHandle handle(&server);
-    for (int attempt = 1;; ++attempt) {
-      resp = handle.Call(req);
-      if (!RetryableShed(resp.code) || attempt > retries) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(
-          cluster::RetryBackoffMs(attempt, backoff_ms, 10000)));
-    }
-    server.Stop();
+    server.emplace(&registry, options);
+    GVEX_RETURN_NOT_OK(server->Start());
+    call = [&](const serve::Request& r) -> Result<serve::Response> {
+      return server->Call(r);
+    };
   } else if (auto map_path = flags.Get("shard-map")) {
     // Library mode of the frontend: an in-process ShardRouter over the
     // fleet in the map — the same scatter-gather the `frontend` verb
@@ -873,25 +886,17 @@ Status CmdClient(const Flags& flags) {
     ropts.hedge_ms = static_cast<uint32_t>(flags.GetInt("hedge-ms", 0));
     ropts.shard_deadline_ms =
         static_cast<uint32_t>(flags.GetInt("shard-deadline-ms", 0));
-    GVEX_ASSIGN_OR_RETURN(std::unique_ptr<cluster::ShardRouter> router,
+    GVEX_ASSIGN_OR_RETURN(router,
                           cluster::MakeSocketRouter(std::move(map), ropts));
-    for (int attempt = 1;; ++attempt) {
-      resp = router->Call(req);
-      if (!RetryableShed(resp.code) || attempt > retries) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(
-          cluster::RetryBackoffMs(attempt, backoff_ms, 10000)));
-    }
+    call = [&](const serve::Request& r) -> Result<serve::Response> {
+      return router->Call(r);
+    };
   } else {
     GVEX_ASSIGN_OR_RETURN(serve::Endpoint endpoint, EndpointFromFlags(flags));
-    serve::SocketClient client;
     GVEX_RETURN_NOT_OK(client.Connect(endpoint));
-    for (int attempt = 1;; ++attempt) {
-      GVEX_ASSIGN_OR_RETURN(resp, client.Call(req));
-      if (!RetryableShed(resp.code) || attempt > retries) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(
-          cluster::RetryBackoffMs(attempt, backoff_ms, 10000)));
-    }
+    call = [&](const serve::Request& r) { return client.Call(r); };
   }
+  GVEX_ASSIGN_OR_RETURN(serve::Response resp, CallWithRetry(flags, call, req));
   if (resp.code == StatusCode::kPartialResult) {
     // Print the merged partial payload, then exit with the distinct
     // partial-result code — the caller sees both what answered and that
@@ -1123,16 +1128,9 @@ Status CmdIngest(const Flags& flags) {
   GVEX_RETURN_NOT_OK(client.Connect(endpoint));
   const std::string route =
       flags.Get("route").value_or(cluster::kDefaultRoute);
-  const int retries = static_cast<int>(flags.GetInt("retry", 0));
-  const uint32_t backoff_ms =
-      static_cast<uint32_t>(flags.GetInt("retry-backoff-ms", 100));
-  auto call = [&](const serve::Request& req) -> Result<serve::Response> {
-    for (int attempt = 1;; ++attempt) {
-      GVEX_ASSIGN_OR_RETURN(serve::Response resp, client.Call(req));
-      if (!RetryableShed(resp.code) || attempt > retries) return resp;
-      std::this_thread::sleep_for(std::chrono::milliseconds(
-          cluster::RetryBackoffMs(attempt, backoff_ms, 10000)));
-    }
+  auto call = [&](const serve::Request& req) {
+    return CallWithRetry(
+        flags, [&](const serve::Request& r) { return client.Call(r); }, req);
   };
 
   size_t sent = 0;
@@ -1220,18 +1218,13 @@ Status CmdEvaluate(const Flags& flags) {
   // an unrelated connect failure.
   GVEX_RETURN_NOT_OK(zoo::ParseEvalSpec(req.text).status());
 
-  const int retries = static_cast<int>(flags.GetInt("retry", 0));
-  const uint32_t backoff_ms =
-      static_cast<uint32_t>(flags.GetInt("retry-backoff-ms", 100));
   serve::SocketClient client;
   GVEX_RETURN_NOT_OK(client.Connect(endpoint));
-  serve::Response resp;
-  for (int attempt = 1;; ++attempt) {
-    GVEX_ASSIGN_OR_RETURN(resp, client.Call(req));
-    if (!RetryableShed(resp.code) || attempt > retries) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(
-        cluster::RetryBackoffMs(attempt, backoff_ms, 10000)));
-  }
+  GVEX_ASSIGN_OR_RETURN(
+      serve::Response resp,
+      CallWithRetry(
+          flags, [&](const serve::Request& r) { return client.Call(r); },
+          req));
   if (!resp.ok()) return resp.ToStatus();
   std::printf("%s", resp.text.c_str());
 

@@ -111,7 +111,10 @@ uint64_t HistogramSnapshot::Quantile(double q) const {
   for (size_t b = 0; b < buckets.size(); ++b) {
     seen += buckets[b];
     if (seen >= target) {
-      return b == 0 ? 0 : (uint64_t{1} << b) - 1;  // bucket upper bound
+      // The bucket's upper bound, clamped so no percentile reads outside
+      // the recorded [min, max] (a lone 1000 reads 1000, not 1023).
+      const uint64_t bound = b == 0 ? 0 : (uint64_t{1} << b) - 1;
+      return std::min(std::max(bound, min), max);
     }
   }
   return max;

@@ -102,7 +102,8 @@ struct HistogramSnapshot {
     return count == 0 ? 0.0
                       : static_cast<double>(sum) / static_cast<double>(count);
   }
-  /// Upper bound of the bucket holding the q-quantile (q in [0,1]).
+  /// Upper bound of the bucket holding the q-quantile (q in [0,1]),
+  /// clamped to [min, max].
   uint64_t Quantile(double q) const;
 };
 

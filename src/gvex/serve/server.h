@@ -230,21 +230,5 @@ class ExplanationServer {
   DeadlineMonitor monitor_;
 };
 
-/// \brief In-process client handle: the same request/response contract as
-/// the socket path, minus the wire. Tests and the load generator use it
-/// to drive a server without networking.
-class ServeHandle {
- public:
-  explicit ServeHandle(ExplanationServer* server) : server_(server) {}
-
-  Response Call(const Request& req) { return server_->Call(req); }
-  std::future<Response> CallAsync(Request req) {
-    return server_->Submit(std::move(req));
-  }
-
- private:
-  ExplanationServer* server_;
-};
-
 }  // namespace serve
 }  // namespace gvex

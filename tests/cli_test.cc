@@ -158,6 +158,29 @@ TEST_F(CliTest, FailFlagInjectsFaults) {
   EXPECT_TRUE(fs::exists(Path("db.txt")));
 }
 
+TEST_F(CliTest, LocalClientRetriesLoadShed) {
+  ASSERT_EQ(cli::Run({"gen", "--dataset", "MUT", "--scale", "0.1", "--out",
+                      Path("db.txt")}),
+            0);
+  ASSERT_EQ(cli::Run({"train", "--db", Path("db.txt"), "--out",
+                      Path("model.txt"), "--epochs", "20"}),
+            0);
+  ASSERT_EQ(cli::Run({"explain", "--db", Path("db.txt"), "--model",
+                      Path("model.txt"), "--labels", "1", "--ul", "12",
+                      "--out", Path("views.txt")}),
+            0);
+  // One injected admission shed per Run: the in-process client exits with
+  // kOverloaded (12) on its own and recovers with a single retry.
+  const std::string shed = "serve.admit=error(overloaded),limit(1)";
+  EXPECT_EQ(cli::Run({"client", "--local", Path("views.txt"), "--type",
+                      "ping", "--fail", shed}),
+            12);
+  EXPECT_EQ(cli::Run({"client", "--local", Path("views.txt"), "--type",
+                      "ping", "--fail", shed, "--retry", "1",
+                      "--retry-backoff-ms", "1"}),
+            0);
+}
+
 TEST_F(CliTest, CheckpointResumeProducesIdenticalViews) {
   ASSERT_EQ(cli::Run({"gen", "--dataset", "MUT", "--scale", "0.15", "--out",
                       Path("db.txt")}),

@@ -85,6 +85,25 @@ TEST_F(ObsTest, HistogramMergesExactlyUnderContention) {
   EXPECT_LE(snap.Quantile(0.99), 15u);
 }
 
+TEST_F(ObsTest, QuantilesStayWithinRecordedMinAndMax) {
+  obs::Histogram& single =
+      obs::Registry::Global().GetHistogram("test.single_us");
+  single.Record(1000);  // bucket [512, 1024): upper bound 1023
+  obs::HistogramSnapshot snap = single.Snapshot();
+  EXPECT_EQ(snap.Quantile(0.50), 1000u);
+  EXPECT_EQ(snap.Quantile(0.99), 1000u);
+
+  obs::Histogram& spread =
+      obs::Registry::Global().GetHistogram("test.spread_us");
+  for (uint64_t v : {600u, 700u, 121878u}) spread.Record(v);
+  snap = spread.Snapshot();
+  for (double q : {0.0, 0.5, 0.9, 0.99, 1.0}) {
+    EXPECT_GE(snap.Quantile(q), snap.min) << "q=" << q;
+    EXPECT_LE(snap.Quantile(q), snap.max) << "q=" << q;
+  }
+  EXPECT_EQ(snap.Quantile(1.0), 121878u);  // not the 131071 bound
+}
+
 TEST_F(ObsTest, SetEnabledFalseSuppressesRecording) {
   obs::SetEnabled(false);
   GVEX_COUNTER_INC("test.disabled_counter");

@@ -69,11 +69,8 @@ run_bench() {
 
 run_bench table1_capabilities
 run_bench table3_datasets 0.5
-run_bench fig5_fidelity_plus 0.15
-run_bench fig6_fidelity_minus 0.15
+run_bench paper_sweep 0.15
 run_bench fig7_param_sensitivity 0.15
-run_bench fig8_conciseness 0.15
-run_bench fig9_efficiency 0.15
 run_bench fig9_scalability 0.15
 run_bench fig12_node_order 0.15
 run_bench ablation 0.15
