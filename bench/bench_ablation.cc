@@ -9,6 +9,7 @@
 
 #include "bench/bench_util.h"
 #include "gvex/metrics/metrics.h"
+#include "gvex/obs/obs.h"
 
 using namespace gvex;
 using namespace gvex::bench;
@@ -16,9 +17,11 @@ using namespace gvex::bench;
 namespace {
 
 void Report(const char* tag, const Workbench& wb, const Configuration& config) {
-  ApproxGvex solver(&wb.model, config);
+  const obs::Counter& everify =
+      obs::Registry::Global().GetCounter("everify.calls");
+  const uint64_t everify_before = everify.Value();
   Stopwatch w;
-  auto view = solver.ExplainLabel(wb.db, wb.assigned, 1);
+  auto view = ApproxView(wb, 1, config);
   double secs = w.ElapsedSeconds();
   if (!view.ok() || view->subgraphs.empty()) {
     std::printf("%-36s -> no view\n", tag);
@@ -33,7 +36,7 @@ void Report(const char* tag, const Workbench& wb, const Configuration& config) {
       tag, fid.fidelity_plus, fid.fidelity_minus, view->explainability,
       view->subgraphs.size(), view->patterns.size(),
       100.0 * ViewEdgeLoss(*view, match), secs,
-      solver.stats().everify_calls);
+      static_cast<size_t>(everify.Value() - everify_before));
 }
 
 }  // namespace
@@ -74,9 +77,8 @@ int main(int argc, char** argv) {
     for (float w : {0.0f, 0.25f, 0.5f, 1.0f}) {
       Configuration config = DefaultConfig(15);
       config.saliency_weight = w;
-      ApproxGvex solver(&mal.model, config);
       Stopwatch watch;
-      auto view = solver.ExplainLabel(mal.db, mal.assigned, 1);
+      auto view = ApproxView(mal, 1, config);
       double secs = watch.ElapsedSeconds();
       if (!view.ok() || view->subgraphs.empty()) {
         std::printf("  saliency_weight = %.2f (MAL)      -> no view\n", w);

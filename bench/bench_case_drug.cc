@@ -107,8 +107,7 @@ int main(int argc, char** argv) {
   // study's analyst query against the patterns.
   std::printf("\nGVEX view for label 'mutagen': ");
   Configuration config = DefaultConfig(10);
-  ApproxGvex ag(&wb.model, config);
-  auto view = ag.ExplainLabel(wb.db, wb.assigned, 1);
+  auto view = ApproxView(wb, 1, config);
   if (view.ok()) {
     std::printf("%zu patterns over %zu subgraphs\n", view->patterns.size(),
                 view->subgraphs.size());

@@ -37,10 +37,9 @@ int main(int argc, char** argv) {
               wb.test_accuracy);
 
   Configuration config = DefaultConfig(12);
-  ApproxGvex solver(&wb.model, config);
   std::vector<std::set<std::string>> class_codes;
   for (ClassLabel l : {0, 1, 2}) {
-    auto view = solver.ExplainLabel(wb.db, wb.assigned, l);
+    auto view = ApproxView(wb, l, config);
     std::printf("\nclass %d:\n", l);
     std::set<std::string> codes;
     if (view.ok()) {

@@ -68,20 +68,20 @@ int main(int argc, char** argv) {
   // The analyst wants interaction *motifs*, not single replies: require
   // patterns of at least 4 users (the configurable knob PGen exposes).
   config.pgen.min_pattern_nodes = 4;
-  ApproxGvex solver(&wb.model, config);
 
   std::printf("\nScenario A: user explains only 'online-discussion' "
               "(label 0)\n");
-  auto v0 = solver.ExplainLabel(wb.db, wb.assigned, 0);
+  auto v0 = ApproxView(wb, 0, config);
   if (v0.ok()) DescribeView(*v0);
 
   std::printf("\nScenario B: user explains only 'question-answer' "
               "(label 1)\n");
-  auto v1 = solver.ExplainLabel(wb.db, wb.assigned, 1);
+  auto v1 = ApproxView(wb, 1, config);
   if (v1.ok()) DescribeView(*v1);
 
   std::printf("\nScenario C: user explains both classes\n");
-  auto both = solver.Explain(wb.db, wb.assigned, {0, 1});
+  auto both = ParallelApproxExplain(wb.model, wb.db, wb.assigned, {0, 1},
+                                    config, {});
   if (both.ok()) {
     for (const auto& v : both->views) DescribeView(v);
   }

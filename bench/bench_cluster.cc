@@ -85,19 +85,13 @@ uint64_t Percentile(std::vector<uint64_t> values, double q) {
 }
 
 ExplanationViewSet BuildViews(const bench::Workbench& wb, size_t u_l) {
-  Configuration config = bench::DefaultConfig(u_l);
-  ApproxGvex solver(&wb.model, config);
-  ExplanationViewSet set;
-  for (ClassLabel label : {0, 1}) {
-    auto view = solver.ExplainLabel(wb.db, wb.assigned, label);
-    if (!view.ok()) {
-      std::fprintf(stderr, "explain label %d: %s\n", label,
-                   view.status().ToString().c_str());
-      std::abort();
-    }
-    set.views.push_back(std::move(*view));
+  auto set = ParallelApproxExplain(wb.model, wb.db, wb.assigned, {0, 1},
+                                   bench::DefaultConfig(u_l), {});
+  if (!set.ok()) {
+    std::fprintf(stderr, "explain: %s\n", set.status().ToString().c_str());
+    std::abort();
   }
-  return set;
+  return std::move(*set);
 }
 
 std::string EncodeInstall(const std::string& route,

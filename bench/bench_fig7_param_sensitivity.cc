@@ -15,8 +15,7 @@ void RunOne(const Workbench& wb, float theta, float radius, float gamma) {
   config.theta = theta;
   config.radius = radius;
   config.gamma = gamma;
-  ApproxGvex solver(&wb.model, config);
-  auto view = solver.ExplainLabel(wb.db, wb.assigned, 1);
+  auto view = ApproxView(wb, 1, config);
   if (!view.ok() || view->subgraphs.empty()) {
     std::printf("theta=%.2f r=%.2f gamma=%.2f  -> no view\n", theta, radius,
                 gamma);

@@ -61,8 +61,10 @@ int main(int argc, char** argv) {
     double base = 0.0;
     for (size_t threads : {1, 2, 4}) {
       Stopwatch w;
+      ParallelExplainOptions options;
+      options.num_threads = threads;
       auto set = ParallelApproxExplain(wb.model, wb.db, wb.assigned, {1},
-                                       config, threads);
+                                       config, options);
       double secs = w.ElapsedSeconds();
       if (!set.ok()) {
         std::printf("%-10zu%10s\n", threads, "error");

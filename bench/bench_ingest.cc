@@ -132,13 +132,9 @@ int main(int argc, char** argv) {
   bench::Workbench wb = bench::PrepareWorkbench("MUT", scale);
   Configuration config = bench::DefaultConfig(12);
   auto model = std::make_shared<const GcnClassifier>(wb.model);
-  auto seed_views = [&]() -> Result<ExplanationViewSet> {
-    ApproxGvex solver(&wb.model, config);
-    GVEX_ASSIGN_OR_RETURN(ExplanationView view,
-                          solver.ExplainLabel(wb.db, wb.assigned, 0));
-    ExplanationViewSet set;
-    set.views.push_back(std::move(view));
-    return set;
+  auto seed_views = [&] {
+    return ParallelApproxExplain(wb.model, wb.db, wb.assigned, {0}, config,
+                                 {});
   };
   const size_t feeds = 4 * ops;
   const double prepare_seconds = prepare_watch.ElapsedSeconds();

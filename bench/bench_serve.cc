@@ -182,17 +182,14 @@ int main(int argc, char** argv) {
   Stopwatch prepare_watch;
   bench::Workbench wb = bench::PrepareWorkbench("MUT", scale);
   Configuration config = bench::DefaultConfig(12);
-  ApproxGvex solver(&wb.model, config);
-  ExplanationViewSet set;
-  for (ClassLabel label : {0, 1}) {
-    auto view = solver.ExplainLabel(wb.db, wb.assigned, label);
-    if (!view.ok()) {
-      std::fprintf(stderr, "explain label %d: %s\n", label,
-                   view.status().ToString().c_str());
-      return 1;
-    }
-    set.views.push_back(std::move(*view));
+  auto explained = ParallelApproxExplain(wb.model, wb.db, wb.assigned,
+                                         {0, 1}, config, {});
+  if (!explained.ok()) {
+    std::fprintf(stderr, "explain: %s\n",
+                 explained.status().ToString().c_str());
+    return 1;
   }
+  ExplanationViewSet set = std::move(*explained);
   std::vector<Graph> pool;
   pool.push_back(datasets::NitroGroupPattern());
   for (const auto& view : set.views) {

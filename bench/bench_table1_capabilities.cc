@@ -29,9 +29,8 @@ int main() {
   Configuration config = DefaultConfig(10);
   config.coverage[0] = {0, 6};
   config.coverage[1] = {0, 10};
-  ApproxGvex solver(&wb.model, config);
-  auto v0 = solver.ExplainLabel(wb.db, wb.assigned, 0);
-  auto v1 = solver.ExplainLabel(wb.db, wb.assigned, 1);
+  auto v0 = ApproxView(wb, 0, config);
+  auto v1 = ApproxView(wb, 1, config);
   if (v0.ok() && v1.ok()) {
     label_specific = !v0->subgraphs.empty() && !v1->subgraphs.empty();
     configurable = true;

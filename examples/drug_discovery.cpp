@@ -10,7 +10,7 @@
 #include <cstdlib>
 
 #include "gvex/datasets/datasets.h"
-#include "gvex/explain/approx_gvex.h"
+#include "gvex/explain/parallel.h"
 #include "gvex/explain/verifier.h"
 #include "gvex/gnn/trainer.h"
 #include "gvex/matching/vf2.h"
@@ -69,10 +69,9 @@ int main(int argc, char** argv) {
   config.theta = 0.08f;
   config.radius = 0.25f;
   config.default_coverage = {0, 12};
-  ApproxGvex solver(&*model, config);
 
   // Views for both labels — the label-specific property in action.
-  auto views = solver.Explain(db, assigned, {0, 1});
+  auto views = ParallelApproxExplain(*model, db, assigned, {0, 1}, config, {});
   if (!views.ok()) {
     std::fprintf(stderr, "%s\n", views.status().ToString().c_str());
     return 1;

@@ -6,7 +6,7 @@
 #include <cstdio>
 
 #include "gvex/datasets/datasets.h"
-#include "gvex/explain/approx_gvex.h"
+#include "gvex/explain/parallel.h"
 #include "gvex/explain/stream_gvex.h"
 #include "gvex/explain/verifier.h"
 #include "gvex/gnn/trainer.h"
@@ -95,19 +95,24 @@ int main() {
   config.gamma = 0.5f;
   config.default_coverage = {0, 12};
 
-  ApproxGvex approx(&*model, config);
-  auto view = approx.ExplainLabel(db, assigned, /*l=*/1);
-  if (!view.ok()) {
-    std::fprintf(stderr, "ApproxGVEX: %s\n", view.status().ToString().c_str());
+  ParallelExplainOptions options;  // one thread; raise num_threads to fan out
+  ParallelExplainReport explain_report;
+  options.report = &explain_report;
+  auto views = ParallelApproxExplain(*model, db, assigned, /*labels=*/{1},
+                                     config, options);
+  if (!views.ok()) {
+    std::fprintf(stderr, "ApproxGVEX: %s\n",
+                 views.status().ToString().c_str());
     return 1;
   }
+  const ExplanationView* view = &views->views[0];
   std::printf("\nApproxGVEX %s\n", view->Summary().c_str());
   for (size_t i = 0; i < view->patterns.size(); ++i) {
     PrintPattern(view->patterns[i], i);
   }
-  std::printf("  (%zu/%zu graphs explained, %zu EVerify calls)\n",
-              approx.stats().graphs_explained, approx.stats().graphs_attempted,
-              approx.stats().everify_calls);
+  const PerViewBuildStats& counts = explain_report.per_view[1];
+  std::printf("  (%zu/%zu graphs explained, %zu infeasible)\n",
+              counts.explained, counts.attempted, counts.infeasible);
 
   // 5. Verify the three view constraints C1-C3 (Lemma 3.1).
   ViewVerification check = VerifyExplanationView(*view, db, *model, config);

@@ -9,7 +9,7 @@
 #include <cstdlib>
 
 #include "gvex/datasets/datasets.h"
-#include "gvex/explain/approx_gvex.h"
+#include "gvex/explain/parallel.h"
 #include "gvex/gnn/trainer.h"
 #include "gvex/metrics/metrics.h"
 
@@ -60,8 +60,7 @@ int main(int argc, char** argv) {
   config.coverage[1] = {4, 16};   // question-answer: detail, >= 4 users
   config.pgen.min_pattern_nodes = 4;  // interaction motifs, not edges
 
-  ApproxGvex solver(&*model, config);
-  auto views = solver.Explain(db, assigned, {0, 1});
+  auto views = ParallelApproxExplain(*model, db, assigned, {0, 1}, config, {});
   if (!views.ok()) {
     std::fprintf(stderr, "%s\n", views.status().ToString().c_str());
     return 1;

@@ -10,7 +10,7 @@
 
 #include "gvex/common/stopwatch.h"
 #include "gvex/datasets/datasets.h"
-#include "gvex/explain/approx_gvex.h"
+#include "gvex/explain/parallel.h"
 #include "gvex/explain/stream_gvex.h"
 #include "gvex/gnn/trainer.h"
 
@@ -86,10 +86,10 @@ int main(int argc, char** argv) {
               100.0 * reduced.edge_loss);
 
   // Compare against the batch algorithm on the same group.
-  ApproxGvex batch(&*model, config);
   Stopwatch batch_watch;
-  auto batch_view = batch.ExplainLabel(db, assigned, 1);
-  if (batch_view.ok()) {
+  auto batch = ParallelApproxExplain(*model, db, assigned, {1}, config, {});
+  if (batch.ok()) {
+    const ExplanationView* batch_view = &batch->views[0];
     std::printf(
         "\nbatch ApproxGVEX:  %zu subgraphs, f=%.1f in %.2fs\n"
         "stream StreamGVEX: %zu subgraphs, f=%.1f in %.2fs  "

@@ -9,7 +9,7 @@
 #include "gvex/common/failpoint.h"
 #include "gvex/common/rng.h"
 #include "gvex/datasets/datasets.h"
-#include "gvex/explain/approx_gvex.h"
+#include "gvex/explain/parallel.h"
 #include "gvex/gnn/trainer.h"
 #include "gvex/serve/server.h"
 #include "gvex/serve/socket.h"
@@ -108,18 +108,20 @@ class ScenarioRunner {
     }
     GVEX_RETURN_NOT_OK(primary_.Start());
     GVEX_RETURN_NOT_OK(standby_.Start());
-    replicator_ = std::make_unique<Replicator>(&standby_.registry,
-                                               FollowOptions());
     return Status::OK();
   }
 
   void Teardown() {
-    replicator_.reset();
     standby_.Stop();
     primary_.Stop();
   }
 
   void RunStep(int step) {
+    // Every connection of the previous step is closed; wait until the
+    // servers' handlers have seen that, or one of them could consume the
+    // fault this step arms.
+    primary_.socket->WaitIdle();
+    standby_.socket->WaitIdle();
     ChaosEvent event;
     event.step = step;
 
@@ -235,7 +237,9 @@ class ScenarioRunner {
     event->action = "sync";
     std::unique_ptr<failpoint::ScopedFailpoint> fault;
     if (faulted) fault = ArmFault(Pick(kSyncFaults, &rng_), event);
-    const Status outcome = replicator_->SyncOnce();
+    // One follower per round, so its connection closes with the step.
+    Replicator replicator(&standby_.registry, FollowOptions());
+    const Status outcome = replicator.SyncOnce();
     fault.reset();
     ++report_->syncs;
     if (!outcome.ok()) ++report_->sync_failures;
@@ -353,7 +357,6 @@ class ScenarioRunner {
   std::vector<std::string> fingerprints_;
   Node primary_;
   Node standby_;
-  std::unique_ptr<Replicator> replicator_;
 };
 
 }  // namespace
@@ -394,13 +397,10 @@ Result<ChaosFixture> MakeChaosFixture() {
     Configuration config;
     config.theta = 0.08f;
     config.default_coverage = {0, upper};
-    ApproxGvex solver(shared_model.get(), config);
     ViewBundle bundle;
-    for (ClassLabel label : {0, 1}) {
-      GVEX_ASSIGN_OR_RETURN(ExplanationView view,
-                            solver.ExplainLabel(db, assigned, label));
-      bundle.views.views.push_back(std::move(view));
-    }
+    GVEX_ASSIGN_OR_RETURN(bundle.views,
+                          ParallelApproxExplain(*shared_model, db, assigned,
+                                                {0, 1}, config, {}));
     bundle.model = shared_model;
     bundle.generation = fixture.generations.size() + 1;
     fixture.generations.push_back(std::move(bundle));

@@ -13,7 +13,10 @@
 //
 // Determinism: the schedule, the fault choices, and every retry/backoff
 // jitter derive from `seed`; at most one wire operation is in flight at
-// a time, so thread scheduling cannot reorder observable events. The
+// a time, each step opens its own connections and closes them, and a
+// step arms its fault only once both servers' connection handlers have
+// exited (SocketServer::WaitIdle), so thread scheduling cannot reorder
+// observable events or hand a fault to the wrong connection. The
 // canonical event log (step, action, fault, outcome code) is therefore
 // a pure function of (seed, options) — same seed, same log, replayable
 // under a debugger.

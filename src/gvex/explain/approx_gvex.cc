@@ -1,12 +1,8 @@
 #include "gvex/explain/approx_gvex.h"
 
 #include <algorithm>
-#include <cassert>
 
 #include "gvex/common/failpoint.h"
-#include "gvex/common/logging.h"
-#include "gvex/common/string_util.h"
-#include "gvex/explain/psum.h"
 #include "gvex/influence/influence.h"
 #include "gvex/obs/obs.h"
 
@@ -22,26 +18,15 @@ struct Candidate {
 
 Result<ExplanationSubgraph> ApproxGvex::ExplainGraph(const Graph& g,
                                                      size_t graph_index,
-                                                     ClassLabel l) {
-  ++stats_.graphs_attempted;
+                                                     ClassLabel l) const {
   GVEX_FAILPOINT_RETURN("approx.explain_graph");
   if (g.num_nodes() == 0) {
     return Status::InvalidArgument("cannot explain an empty graph");
   }
   GVEX_SPAN("approx.explain_graph");
   GVEX_COUNTER_INC("approx.graphs");
-  CoverageConstraint cc = config_.ConstraintFor(l);
-  if (cc.lower > cc.upper || cc.upper == 0) {
-    return Status::InvalidArgument("invalid coverage constraint");
-  }
-  // Selecting every node would make the counterfactual test vacuous
-  // (empty remainder); always leave at least one node behind.
-  cc.upper = std::min(cc.upper, g.num_nodes() - 1);
-  cc.lower = std::min(cc.lower, cc.upper);
-  if (cc.upper == 0) {
-    ++stats_.graphs_infeasible;
-    return Status::Infeasible("single-node graph has no proper subgraph");
-  }
+  GVEX_ASSIGN_OR_RETURN(const CoverageConstraint cc,
+                        config_.ClampedConstraintFor(l, g.num_nodes()));
 
   GVEX_ASSIGN_OR_RETURN(
       InfluenceAnalyzer analyzer,
@@ -56,41 +41,18 @@ Result<ExplanationSubgraph> ApproxGvex::ExplainGraph(const Graph& g,
   // (common when the class evidence sits on low-degree nodes), so the
   // probe set is the union of the top-K by f-gain and the top-K by
   // saliency.
-  std::vector<float> saliency(g.num_nodes(), 0.0f);
-  {
-    GcnTrace trace = model_->Forward(g);
-    if (!trace.logits.empty() && l >= 0 &&
-        static_cast<size_t>(l) < trace.probs.size()) {
-      Matrix grad = model_->InputLogitGradient(trace, l);
-      for (NodeId v = 0; v < g.num_nodes(); ++v) {
-        saliency[v] = grad.RowL1Norm(v);
-      }
-    }
-  }
-  float max_saliency = 0.0f;
-  for (float s : saliency) max_saliency = std::max(max_saliency, s);
-  const float inv_saliency =
-      max_saliency > 0.0f ? 1.0f / max_saliency : 0.0f;
+  const GradientSaliency saliency(*model_, g, l);
   std::vector<NodeId> saliency_order(g.num_nodes());
   for (NodeId v = 0; v < g.num_nodes(); ++v) saliency_order[v] = v;
   std::sort(saliency_order.begin(), saliency_order.end(),
-            [&](NodeId a, NodeId b) {
-              if (saliency[a] != saliency[b]) return saliency[a] > saliency[b];
-              return a < b;
-            });
+            [&](NodeId a, NodeId b) { return saliency.MoreSalient(a, b); });
 
   std::vector<bool> in_vs(g.num_nodes(), false);
   std::vector<NodeId> vs;  // V_S, kept sorted on return
   bool valid = false;      // does V_S currently satisfy C2?
 
-  auto verify_set = [&](const std::vector<NodeId>& nodes) {
-    ++stats_.everify_calls;
-    return verifier_.Verify(g, nodes, l);
-  };
-
   // ---- explanation phase (Alg. 1 lines 3-9) --------------------------------
   while (vs.size() < cc.upper && vs.size() < g.num_nodes()) {
-    ++stats_.greedy_rounds;
     const double base_score = acc.Score(gamma);
 
     // Marginal f-gain for every remaining node (cheap bitset algebra).
@@ -137,7 +99,7 @@ Result<ExplanationSubgraph> ApproxGvex::ExplainGraph(const Graph& g,
     for (size_t i = 0; i < probe.size(); ++i) {
       std::vector<NodeId> extended = vs;
       extended.push_back(probe[i]);
-      EVerifyResult ev = verify_set(extended);
+      EVerifyResult ev = verifier_.Verify(g, extended, l);
       if (valid && !ev.IsExplanation()) {
         continue;  // Procedure 2: do not break an achieved explanation
       }
@@ -146,7 +108,7 @@ Result<ExplanationSubgraph> ApproxGvex::ExplainGraph(const Graph& g,
                         (static_cast<double>(ev.prob_subgraph) -
                          static_cast<double>(ev.prob_remainder)) +
                     static_cast<double>(config_.saliency_weight) *
-                        static_cast<double>(saliency[probe[i]] * inv_saliency);
+                        static_cast<double>(saliency.Normalized(probe[i]));
       if (rank > best_rank) {
         best_rank = rank;
         best_node = probe[i];
@@ -187,15 +149,13 @@ Result<ExplanationSubgraph> ApproxGvex::ExplainGraph(const Graph& g,
     acc.Add(best_node);
   }
   if (vs.size() < cc.lower) {
-    ++stats_.graphs_infeasible;
     return Status::Infeasible("graph smaller than coverage lower bound");
   }
 
   // ---- final verification ---------------------------------------------------
   std::sort(vs.begin(), vs.end());
-  EVerifyResult final_check = verify_set(vs);
+  EVerifyResult final_check = verifier_.Verify(g, vs, l);
   if (!final_check.IsExplanation()) {
-    ++stats_.graphs_infeasible;
     return Status::Infeasible(
         "no consistent+counterfactual subgraph within coverage bounds");
   }
@@ -209,73 +169,7 @@ Result<ExplanationSubgraph> ApproxGvex::ExplainGraph(const Graph& g,
        static_cast<double>(gamma) *
            static_cast<double>(analyzer.DiversityScore(vs))) *
       inv_graph_size;
-  ++stats_.graphs_explained;
   return out;
-}
-
-Result<ExplanationView> ApproxGvex::ExplainLabel(
-    const GraphDatabase& db, const std::vector<ClassLabel>& assigned,
-    ClassLabel l, const Deadline* deadline, ExplanationCheckpoint* checkpoint) {
-  GVEX_SPAN("approx.explain_label");
-  ExplanationView view;
-  view.label = l;
-  std::vector<size_t> group = GraphDatabase::LabelGroup(assigned, l);
-  size_t done = 0;
-  for (size_t gi : group) {
-    if (deadline != nullptr && deadline->Expired()) {
-      std::string note = StrFormat(
-          "label explanation exceeded time budget (%zu/%zu graphs done", done,
-          group.size());
-      note += checkpoint != nullptr ? ", progress journaled)" : ")";
-      return Status::Timeout(std::move(note));
-    }
-    if (checkpoint != nullptr) {
-      if (const ExplanationSubgraph* saved = checkpoint->Find(l, gi)) {
-        ++stats_.graphs_resumed;
-        ++done;
-        view.explainability += saved->explainability;
-        view.subgraphs.push_back(*saved);
-        continue;
-      }
-    }
-    Result<ExplanationSubgraph> sub = ExplainGraph(db.graph(gi), gi, l);
-    if (!sub.ok()) {
-      if (sub.status().IsInfeasible()) {
-        GVEX_LOG(Debug) << "graph " << gi << " infeasible for label " << l;
-        ++done;
-        continue;  // Alg. 1 line 17: this graph contributes no subgraph
-      }
-      return sub.status();
-    }
-    if (checkpoint != nullptr) {
-      GVEX_RETURN_NOT_OK(checkpoint->Append(l, *sub));
-    }
-    ++done;
-    view.explainability += sub->explainability;
-    view.subgraphs.push_back(std::move(*sub));
-  }
-
-  // Summarize phase: one pattern set covering every subgraph of the label
-  // group (the view invariant: P^l covers the nodes of G_s^l).
-  std::vector<Graph> raw;
-  raw.reserve(view.subgraphs.size());
-  for (const auto& s : view.subgraphs) raw.push_back(s.subgraph);
-  PsumResult summary = Psum(raw, config_);
-  view.patterns = std::move(summary.patterns);
-  return view;
-}
-
-Result<ExplanationViewSet> ApproxGvex::Explain(
-    const GraphDatabase& db, const std::vector<ClassLabel>& assigned,
-    const std::vector<ClassLabel>& labels, const Deadline* deadline,
-    ExplanationCheckpoint* checkpoint) {
-  ExplanationViewSet set;
-  for (ClassLabel l : labels) {
-    GVEX_ASSIGN_OR_RETURN(ExplanationView view,
-                          ExplainLabel(db, assigned, l, deadline, checkpoint));
-    set.views.push_back(std::move(view));
-  }
-  return set;
 }
 
 }  // namespace gvex

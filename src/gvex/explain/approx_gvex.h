@@ -18,73 +18,36 @@
 // rejected, exactly as Procedure 2 prescribes.
 //
 // Summarize phase: Psum over the label group's explanation subgraphs.
+// ParallelApproxExplain (parallel.h) is the one driver: it runs
+// ExplainGraph over every graph of each label group, then Psum per label.
 #pragma once
 
-#include <vector>
-
 #include "gvex/common/result.h"
-#include "gvex/common/stopwatch.h"
-#include "gvex/explain/checkpoint.h"
 #include "gvex/explain/config.h"
 #include "gvex/explain/everify.h"
 #include "gvex/explain/view.h"
 #include "gvex/gnn/model.h"
-#include "gvex/graph/graph_db.h"
+#include "gvex/graph/graph.h"
 
 namespace gvex {
 
-/// \brief Counters for the efficiency experiments (Fig. 9).
-struct ApproxGvexStats {
-  size_t graphs_attempted = 0;
-  size_t graphs_explained = 0;
-  size_t graphs_infeasible = 0;
-  size_t graphs_resumed = 0;  ///< taken from a checkpoint, not recomputed
-  size_t everify_calls = 0;
-  size_t greedy_rounds = 0;
-};
-
-/// \brief The two-step explain-and-summarize solver.
+/// \brief The per-graph explain step of ApproxGVEX.
 class ApproxGvex {
  public:
   ApproxGvex(const GcnClassifier* model, Configuration config)
       : model_(model), verifier_(model), config_(std::move(config)) {}
 
   const Configuration& config() const { return config_; }
-  const ApproxGvexStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = ApproxGvexStats{}; }
 
   /// Explain a single graph w.r.t. label l (the body of Algorithm 1).
   /// Returns kInfeasible when no node set within [b_l, u_l] satisfies C2.
   Result<ExplanationSubgraph> ExplainGraph(const Graph& g, size_t graph_index,
-                                           ClassLabel l);
-
-  /// Assemble the explanation view for one label group: run ExplainGraph
-  /// on every graph the model assigned label l, then summarize with Psum.
-  /// Graphs with no feasible explanation are skipped (counted in stats).
-  ///
-  /// With a `checkpoint`, each completed subgraph is journaled and graphs
-  /// already in the journal are restored instead of recomputed, so a
-  /// killed run resumes where it stopped.
-  Result<ExplanationView> ExplainLabel(const GraphDatabase& db,
-                                       const std::vector<ClassLabel>& assigned,
-                                       ClassLabel l,
-                                       const Deadline* deadline = nullptr,
-                                       ExplanationCheckpoint* checkpoint =
-                                           nullptr);
-
-  /// Views for every label of interest.
-  Result<ExplanationViewSet> Explain(const GraphDatabase& db,
-                                     const std::vector<ClassLabel>& assigned,
-                                     const std::vector<ClassLabel>& labels,
-                                     const Deadline* deadline = nullptr,
-                                     ExplanationCheckpoint* checkpoint =
-                                         nullptr);
+                                           ClassLabel l) const;
 
  private:
   const GcnClassifier* model_;
   EVerify verifier_;
   Configuration config_;
-  ApproxGvexStats stats_;
 };
 
 }  // namespace gvex

@@ -3,9 +3,11 @@
 // influence backend, pattern-mining bounds, candidate-verification budget).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <unordered_map>
 
+#include "gvex/common/result.h"
 #include "gvex/graph/graph.h"
 #include "gvex/influence/influence.h"
 #include "gvex/matching/vf2.h"
@@ -67,6 +69,24 @@ struct Configuration {
   const CoverageConstraint& ConstraintFor(ClassLabel l) const {
     auto it = coverage.find(l);
     return it == coverage.end() ? default_coverage : it->second;
+  }
+
+  /// [b_l, u_l] for explaining a graph of `num_nodes` >= 1 nodes, with u_l
+  /// clamped to n-1: selecting every node would make the counterfactual
+  /// test vacuous (empty remainder). kInvalidArgument when b_l > u_l or
+  /// u_l == 0; kInfeasible for a single-node graph.
+  Result<CoverageConstraint> ClampedConstraintFor(ClassLabel l,
+                                                  size_t num_nodes) const {
+    CoverageConstraint cc = ConstraintFor(l);
+    if (cc.lower > cc.upper || cc.upper == 0) {
+      return Status::InvalidArgument("invalid coverage constraint");
+    }
+    cc.upper = std::min(cc.upper, num_nodes - 1);
+    cc.lower = std::min(cc.lower, cc.upper);
+    if (cc.upper == 0) {
+      return Status::Infeasible("single-node graph has no proper subgraph");
+    }
+    return cc;
   }
 
   InfluenceOptions MakeInfluenceOptions() const {

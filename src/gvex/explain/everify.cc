@@ -1,5 +1,7 @@
 #include "gvex/explain/everify.h"
 
+#include <algorithm>
+
 #include "gvex/common/failpoint.h"
 #include "gvex/obs/obs.h"
 
@@ -37,6 +39,20 @@ EVerifyResult EVerify::Verify(const Graph& g,
     }
   }
   return result;
+}
+
+GradientSaliency::GradientSaliency(const GcnClassifier& model, const Graph& g,
+                                   ClassLabel l)
+    : raw(g.num_nodes(), 0.0f) {
+  GcnTrace trace = model.Forward(g);
+  if (!trace.logits.empty() && l >= 0 &&
+      static_cast<size_t>(l) < trace.probs.size()) {
+    Matrix grad = model.InputLogitGradient(trace, l);
+    for (NodeId v = 0; v < g.num_nodes(); ++v) raw[v] = grad.RowL1Norm(v);
+  }
+  float max_raw = 0.0f;
+  for (float s : raw) max_raw = std::max(max_raw, s);
+  inv_max = max_raw > 0.0f ? 1.0f / max_raw : 0.0f;
 }
 
 }  // namespace gvex

@@ -39,4 +39,24 @@ class EVerify {
   const GcnClassifier* model_;
 };
 
+/// \brief Gradient saliency of every node of `g` for label `l`: the L1 norm
+/// of the node's row of d logit_l / dX, a first-order estimate of how much
+/// removing the node moves the class logit. Both GVEX solvers use it to
+/// probe label-critical nodes that the influence gain alone would miss.
+struct GradientSaliency {
+  GradientSaliency(const GcnClassifier& model, const Graph& g, ClassLabel l);
+
+  /// Saliency scaled so the largest is 1 (0 when every node has 0).
+  float Normalized(NodeId v) const { return raw[v] * inv_max; }
+
+  /// Strict order: more salient first, ties by smaller node id.
+  bool MoreSalient(NodeId a, NodeId b) const {
+    if (raw[a] != raw[b]) return raw[a] > raw[b];
+    return a < b;
+  }
+
+  std::vector<float> raw;
+  float inv_max = 0.0f;
+};
+
 }  // namespace gvex

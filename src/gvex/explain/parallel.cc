@@ -53,9 +53,10 @@ Result<ExplanationViewSet> ParallelApproxExplain(
   std::vector<char> attempted(items.size(), 0);
   std::vector<char> resumed(items.size(), 0);
   {
+    // ExplainGraph is const and keeps no per-call state, so the workers
+    // share one solver.
+    const ApproxGvex solver(&model, config);
     ThreadPool pool(options.num_threads);
-    // One solver per worker slot would need worker ids; per-item solvers
-    // are cheap relative to the explain work itself.
     pool.ParallelFor(
         items.size(),
         [&](size_t i) {
@@ -75,7 +76,6 @@ Result<ExplanationViewSet> ParallelApproxExplain(
               return;
             }
           }
-          ApproxGvex solver(&model, config);
           results[i] = solver.ExplainGraph(db.graph(item.graph_index),
                                            item.graph_index, item.label);
           if (results[i].ok() && options.checkpoint != nullptr) {
@@ -168,12 +168,14 @@ Result<ExplanationViewSet> ParallelApproxExplain(
         const Status& st = results[i].status();
         if (st.IsInfeasible()) {
           ++stats.infeasible;
+          GVEX_LOG(Debug) << "graph " << items[i].graph_index
+                          << " infeasible for label " << l;
         } else {
           ++stats.invalid;
+          GVEX_LOG(Warning) << "label " << l << ": graph "
+                            << items[i].graph_index
+                            << " contributed no subgraph: " << st.ToString();
         }
-        GVEX_LOG(Warning) << "label " << l << ": graph "
-                          << items[i].graph_index
-                          << " contributed no subgraph: " << st.ToString();
         continue;
       }
       if (resumed[i]) ++stats.resumed;
@@ -194,16 +196,6 @@ Result<ExplanationViewSet> ParallelApproxExplain(
     set.views.push_back(std::move(view));
   }
   return set;
-}
-
-Result<ExplanationViewSet> ParallelApproxExplain(
-    const GcnClassifier& model, const GraphDatabase& db,
-    const std::vector<ClassLabel>& assigned,
-    const std::vector<ClassLabel>& labels, const Configuration& config,
-    size_t num_threads) {
-  ParallelExplainOptions options;
-  options.num_threads = num_threads;
-  return ParallelApproxExplain(model, db, assigned, labels, config, options);
 }
 
 }  // namespace gvex

@@ -57,21 +57,15 @@ struct ParallelExplainOptions {
   ParallelExplainReport* report = nullptr;
 };
 
-/// Run ApproxGVEX's explain phase across `options.num_threads` workers,
-/// then Psum per label. Equivalent output to ApproxGvex::Explain up to
-/// subgraph ordering; deterministic given the configuration — a resumed
-/// run therefore reproduces the uninterrupted result byte-for-byte.
+/// ApproxGVEX (Algorithm 1) over the label groups of `labels`: the explain
+/// phase (ApproxGvex::ExplainGraph per graph) across `options.num_threads`
+/// workers, then Psum once per label. Subgraphs are kept in graph order,
+/// so the output does not depend on the thread count, and a resumed run
+/// reproduces the uninterrupted result byte-for-byte.
 Result<ExplanationViewSet> ParallelApproxExplain(
     const GcnClassifier& model, const GraphDatabase& db,
     const std::vector<ClassLabel>& assigned,
     const std::vector<ClassLabel>& labels, const Configuration& config,
     const ParallelExplainOptions& options);
-
-/// Back-compat convenience overload.
-Result<ExplanationViewSet> ParallelApproxExplain(
-    const GcnClassifier& model, const GraphDatabase& db,
-    const std::vector<ClassLabel>& assigned,
-    const std::vector<ClassLabel>& labels, const Configuration& config,
-    size_t num_threads);
 
 }  // namespace gvex

@@ -1,26 +1,52 @@
 #include "gvex/explain/psum.h"
 
 #include <algorithm>
-#include <cassert>
 
-#include "gvex/common/bitset.h"
 #include "gvex/common/thread_pool.h"
 #include "gvex/matching/match_cache.h"
 #include "gvex/matching/vf2.h"
 #include "gvex/obs/obs.h"
 
 namespace gvex {
-namespace {
 
-// Global node/edge coverage of one candidate pattern across all subgraphs,
-// flattened into shared index spaces.
-struct CandidateCoverage {
-  DynamicBitset nodes;
-  DynamicBitset edges;
-  double weight = 1.0;  // w(P) = 1 - |P_Es| / |Es|
-};
+double PatternCoverage::EdgeLoss(const DynamicBitset& covered) const {
+  return total_edges == 0
+             ? 0.0
+             : 1.0 - static_cast<double>(covered.Count()) /
+                         static_cast<double>(total_edges);
+}
 
-}  // namespace
+PatternCoverage ComputePatternCoverage(const std::vector<const Graph*>& patterns,
+                                       const std::vector<Graph>& subgraphs,
+                                       const MatchOptions& match) {
+  PatternCoverage cov;
+  std::vector<size_t> edge_base(subgraphs.size());
+  cov.node_base.resize(subgraphs.size());
+  for (size_t i = 0; i < subgraphs.size(); ++i) {
+    cov.node_base[i] = cov.total_nodes;
+    edge_base[i] = cov.total_edges;
+    cov.total_nodes += subgraphs[i].num_nodes();
+    cov.total_edges += subgraphs[i].num_edges();
+  }
+  cov.rows.resize(patterns.size());
+  ThreadPool::Shared().ParallelFor(patterns.size(), [&](size_t pi) {
+    PatternCoverage::Row& row = cov.rows[pi];
+    row.nodes = DynamicBitset(cov.total_nodes);
+    row.edges = DynamicBitset(cov.total_edges);
+    for (size_t gi = 0; gi < subgraphs.size(); ++gi) {
+      CoverageResult local =
+          MatchCache::Global().Coverage(*patterns[pi], subgraphs[gi], match);
+      for (size_t v : local.covered_nodes.ToVector()) {
+        row.nodes.Set(cov.node_base[gi] + v);
+      }
+      for (size_t e : local.covered_edges.ToVector()) {
+        row.edges.Set(edge_base[gi] + e);
+      }
+    }
+    row.weight = cov.EdgeLoss(row.edges);
+  });
+  return cov;
+}
 
 PsumResult Psum(const std::vector<Graph>& subgraphs,
                 const Configuration& config) {
@@ -32,18 +58,6 @@ PsumResult Psum(const std::vector<Graph>& subgraphs,
   GVEX_SPAN("psum.summarize");
   GVEX_COUNTER_INC("psum.calls");
 
-  // Flatten node and edge index spaces across subgraphs.
-  size_t total_nodes = 0;
-  size_t total_edges = 0;
-  std::vector<size_t> node_base(subgraphs.size());
-  std::vector<size_t> edge_base(subgraphs.size());
-  for (size_t i = 0; i < subgraphs.size(); ++i) {
-    node_base[i] = total_nodes;
-    edge_base[i] = total_edges;
-    total_nodes += subgraphs[i].num_nodes();
-    total_edges += subgraphs[i].num_edges();
-  }
-
   // Mine candidates and compute their global coverage. Structural
   // patterns only (>= 2 nodes): single-type singletons trivially dominate
   // node-coverage-per-weight yet explain nothing; they re-enter solely as
@@ -52,36 +66,21 @@ PsumResult Psum(const std::vector<Graph>& subgraphs,
   pgen.min_pattern_nodes = std::max<size_t>(pgen.min_pattern_nodes, 2);
   std::vector<PatternCandidate> candidates =
       GeneratePatternCandidates(subgraphs, pgen);
-  // The candidate×subgraph coverage matrix is the Psum hot loop: each cell
-  // is a full VF2 enumeration. Cells hit the MatchCache (the same pairs
-  // recur across labels and stream repair rounds) and candidates fan out
-  // over the shared pool — each iteration writes only coverage[ci], and
-  // the greedy selection below stays serial and deterministic.
-  std::vector<CandidateCoverage> coverage(candidates.size());
-  ThreadPool::Shared().ParallelFor(candidates.size(), [&](size_t ci) {
-    CandidateCoverage& cov = coverage[ci];
-    cov.nodes = DynamicBitset(total_nodes);
-    cov.edges = DynamicBitset(total_edges);
-    for (size_t gi = 0; gi < subgraphs.size(); ++gi) {
-      CoverageResult local = MatchCache::Global().Coverage(
-          candidates[ci].pattern, subgraphs[gi], config.match);
-      for (size_t v : local.covered_nodes.ToVector()) {
-        cov.nodes.Set(node_base[gi] + v);
-      }
-      for (size_t e : local.covered_edges.ToVector()) {
-        cov.edges.Set(edge_base[gi] + e);
-      }
-    }
-    cov.weight = total_edges == 0
-                     ? 0.0
-                     : 1.0 - static_cast<double>(cov.edges.Count()) /
-                                 static_cast<double>(total_edges);
-  });
+  // The candidate x subgraph coverage matrix is the Psum hot loop; its
+  // cells recur across labels and stream repair rounds, so they hit the
+  // MatchCache, and the greedy selection below stays serial and
+  // deterministic.
+  std::vector<const Graph*> patterns;
+  patterns.reserve(candidates.size());
+  for (const PatternCandidate& c : candidates) patterns.push_back(&c.pattern);
+  const PatternCoverage coverage =
+      ComputePatternCoverage(patterns, subgraphs, config.match);
+  const size_t total_nodes = coverage.total_nodes;
 
   // Greedy weighted set cover: maximize newly covered nodes per unit
   // weight until all nodes are covered or candidates are exhausted.
   DynamicBitset covered_nodes(total_nodes);
-  DynamicBitset covered_edges(total_edges);
+  DynamicBitset covered_edges(coverage.total_edges);
   std::vector<bool> selected(candidates.size(), false);
   constexpr double kWeightFloor = 1e-2;  // avoids division by ~0 weights
   while (covered_nodes.Count() < total_nodes) {
@@ -89,14 +88,15 @@ PsumResult Psum(const std::vector<Graph>& subgraphs,
     double best_ratio = 0.0;
     for (size_t ci = 0; ci < candidates.size(); ++ci) {
       if (selected[ci]) continue;
-      size_t gain = covered_nodes.MarginalCount(coverage[ci].nodes);
+      const PatternCoverage::Row& row = coverage.rows[ci];
+      size_t gain = covered_nodes.MarginalCount(row.nodes);
       if (gain == 0) continue;
       // Weighted-set-cover greedy on nodes; newly covered edges join the
       // numerator so that at equal node gain the pattern missing fewer
       // edges wins (the w(P) objective of Lemma 4.3).
-      size_t edge_gain = covered_edges.MarginalCount(coverage[ci].edges);
+      size_t edge_gain = covered_edges.MarginalCount(row.edges);
       double ratio = static_cast<double>(gain + edge_gain) /
-                     (coverage[ci].weight + kWeightFloor);
+                     (row.weight + kWeightFloor);
       if (ratio > best_ratio) {
         best_ratio = ratio;
         best = ci;
@@ -104,8 +104,8 @@ PsumResult Psum(const std::vector<Graph>& subgraphs,
     }
     if (best == static_cast<size_t>(-1)) break;  // nothing useful left
     selected[best] = true;
-    covered_nodes.UnionWith(coverage[best].nodes);
-    covered_edges.UnionWith(coverage[best].edges);
+    covered_nodes.UnionWith(coverage.rows[best].nodes);
+    covered_edges.UnionWith(coverage.rows[best].edges);
     result.patterns.push_back(candidates[best].pattern);
   }
 
@@ -116,7 +116,8 @@ PsumResult Psum(const std::vector<Graph>& subgraphs,
     std::vector<NodeType> singleton_types;
     for (size_t gi = 0; gi < subgraphs.size(); ++gi) {
       for (NodeId v = 0; v < subgraphs[gi].num_nodes(); ++v) {
-        if (covered_nodes.Test(node_base[gi] + v)) continue;
+        const size_t idx = coverage.node_base[gi] + v;
+        if (covered_nodes.Test(idx)) continue;
         NodeType t = subgraphs[gi].node_type(v);
         if (std::find(singleton_types.begin(), singleton_types.end(), t) ==
             singleton_types.end()) {
@@ -125,17 +126,13 @@ PsumResult Psum(const std::vector<Graph>& subgraphs,
           p.AddNode(t);
           result.patterns.push_back(std::move(p));
         }
-        covered_nodes.Set(node_base[gi] + v);
+        covered_nodes.Set(idx);
       }
     }
   }
 
   result.full_node_coverage = covered_nodes.Count() == total_nodes;
-  result.edge_loss =
-      total_edges == 0
-          ? 0.0
-          : 1.0 - static_cast<double>(covered_edges.Count()) /
-                      static_cast<double>(total_edges);
+  result.edge_loss = coverage.EdgeLoss(covered_edges);
   return result;
 }
 

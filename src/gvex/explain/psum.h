@@ -6,6 +6,7 @@
 
 #include <vector>
 
+#include "gvex/common/bitset.h"
 #include "gvex/explain/config.h"
 #include "gvex/graph/graph.h"
 #include "gvex/mining/pgen.h"
@@ -20,6 +21,33 @@ struct PsumResult {
   /// Total node-coverage sanity: true iff every subgraph node is covered.
   bool full_node_coverage = false;
 };
+
+/// \brief Node and edge coverage of each pattern over a list of subgraphs,
+/// flattened into one node index space and one edge index space (subgraph
+/// i's nodes start at node_base[i]). Psum and ReducePatterns run their
+/// greedy covers over it.
+struct PatternCoverage {
+  struct Row {
+    DynamicBitset nodes;
+    DynamicBitset edges;
+    double weight = 1.0;  ///< w(P) = 1 - |P_Es| / |Es|
+  };
+  size_t total_nodes = 0;
+  size_t total_edges = 0;
+  std::vector<size_t> node_base;
+  std::vector<Row> rows;  ///< one per pattern, in input order
+
+  /// Fraction of all subgraph edges outside `covered` (0 when there are
+  /// no edges).
+  double EdgeLoss(const DynamicBitset& covered) const;
+};
+
+/// Fill the pattern x subgraph coverage matrix. Each cell is a full VF2
+/// enumeration behind the MatchCache; patterns fan out over the shared
+/// pool, each writing only its own row.
+PatternCoverage ComputePatternCoverage(const std::vector<const Graph*>& patterns,
+                                       const std::vector<Graph>& subgraphs,
+                                       const MatchOptions& match);
 
 /// Summarize `subgraphs` into a covering pattern set.
 ///

@@ -1,13 +1,12 @@
 #include "gvex/explain/stream_gvex.h"
 
 #include <algorithm>
-#include <cassert>
 
 #include "gvex/common/bitset.h"
 #include "gvex/common/failpoint.h"
 #include "gvex/common/logging.h"
 #include "gvex/common/rng.h"
-#include "gvex/common/thread_pool.h"
+#include "gvex/explain/psum.h"
 #include "gvex/influence/influence.h"
 #include "gvex/matching/match_cache.h"
 #include "gvex/matching/vf2.h"
@@ -56,17 +55,10 @@ Result<ExplanationSubgraph> StreamGvex::ExplainGraphStream(
   }
   GVEX_SPAN("stream.explain_graph");
   GVEX_COUNTER_INC("stream.graphs");
-  CoverageConstraint cc = config_.ConstraintFor(l);
-  if (cc.lower > cc.upper || cc.upper == 0) {
-    return Status::InvalidArgument("invalid coverage constraint");
-  }
-  // Keep the counterfactual test meaningful: never cache the whole graph.
-  cc.upper = std::min(cc.upper, g.num_nodes() - 1);
-  cc.lower = std::min(cc.lower, cc.upper);
-  if (cc.upper == 0) {
-    ++stats_.graphs_infeasible;
-    return Status::Infeasible("single-node graph has no proper subgraph");
-  }
+  Result<CoverageConstraint> bounds =
+      config_.ClampedConstraintFor(l, g.num_nodes());
+  if (bounds.status().IsInfeasible()) ++stats_.graphs_infeasible;
+  GVEX_ASSIGN_OR_RETURN(const CoverageConstraint cc, std::move(bounds));
 
   // IncEVerify surrogate: the influence/diversity state is prepared once
   // and queried incrementally per arriving node (same asymptotics as the
@@ -166,21 +158,10 @@ Result<ExplanationSubgraph> StreamGvex::ExplainGraphStream(
 
   // Gradient saliency, used by the C2 repair phase to probe label-critical
   // nodes the f-driven cache may have passed over (cf. ApproxGVEX).
-  std::vector<float> saliency(g.num_nodes(), 0.0f);
-  {
-    GcnTrace trace = model_->Forward(g);
-    if (!trace.logits.empty() && l >= 0 &&
-        static_cast<size_t>(l) < trace.probs.size()) {
-      Matrix grad = model_->InputLogitGradient(trace, l);
-      for (NodeId v = 0; v < g.num_nodes(); ++v) {
-        saliency[v] = grad.RowL1Norm(v);
-      }
-    }
-  }
-  float max_saliency = 0.0f;
-  for (float s : saliency) max_saliency = std::max(max_saliency, s);
-  const float inv_saliency =
-      max_saliency > 0.0f ? 1.0f / max_saliency : 0.0f;
+  const GradientSaliency saliency(*model_, g, l);
+  auto more_salient = [&](NodeId a, NodeId b) {
+    return saliency.MoreSalient(a, b);
+  };
 
   // Lower-bound top-up from V_u (Algorithm 3 line 10).
   std::sort(vu.begin(), vu.end());
@@ -228,7 +209,7 @@ Result<ExplanationSubgraph> StreamGvex::ExplainGraphStream(
       ranked.emplace_back(
           gain / static_cast<double>(g.num_nodes()) +
               static_cast<double>(config_.saliency_weight) *
-                  static_cast<double>(saliency[vu[i]] * inv_saliency),
+                  static_cast<double>(saliency.Normalized(vu[i])),
           i);
     }
     if (ranked.empty()) break;
@@ -285,10 +266,7 @@ Result<ExplanationSubgraph> StreamGvex::ExplainGraphStream(
       for (NodeId u : vu) {
         if (!in_vs(u)) cands.push_back(u);
       }
-      std::sort(cands.begin(), cands.end(), [&](NodeId a, NodeId b) {
-        if (saliency[a] != saliency[b]) return saliency[a] > saliency[b];
-        return a < b;
-      });
+      std::sort(cands.begin(), cands.end(), more_salient);
       const size_t victim_probe = std::min<size_t>(victims.size(), 3);
       const size_t cand_probe = std::min<size_t>(cands.size(), 8);
       std::vector<NodeId> best_trial;
@@ -336,13 +314,7 @@ Result<ExplanationSubgraph> StreamGvex::ExplainGraphStream(
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
       if (seen[v]) by_saliency.push_back(v);
     }
-    std::sort(by_saliency.begin(), by_saliency.end(),
-              [&](NodeId a, NodeId b) {
-                if (saliency[a] != saliency[b]) {
-                  return saliency[a] > saliency[b];
-                }
-                return a < b;
-              });
+    std::sort(by_saliency.begin(), by_saliency.end(), more_salient);
     // From each of the top seeds, grow a connected region by always
     // absorbing the most salient neighbor (explanations are localized
     // substructures; a bare top-k saliency set is usually disconnected).
@@ -356,8 +328,8 @@ Result<ExplanationSubgraph> StreamGvex::ExplainGraphStream(
         float best_sal = -1.0f;
         for (NodeId r : region) {
           ForEachNeighborBothDirections(g, r, [&](NodeId w) {
-            if (!in_region[w] && seen[w] && saliency[w] > best_sal) {
-              best_sal = saliency[w];
+            if (!in_region[w] && seen[w] && saliency.raw[w] > best_sal) {
+              best_sal = saliency.raw[w];
               best_nb = w;
             }
           });
@@ -483,48 +455,17 @@ PatternReduction ReducePatterns(const std::vector<Graph>& patterns,
   PatternReduction result;
   if (subgraphs.empty()) return result;
 
-  size_t total_nodes = 0;
-  size_t total_edges = 0;
-  std::vector<size_t> node_base(subgraphs.size());
-  std::vector<size_t> edge_base(subgraphs.size());
-  for (size_t i = 0; i < subgraphs.size(); ++i) {
-    node_base[i] = total_nodes;
-    edge_base[i] = total_edges;
-    total_nodes += subgraphs[i].num_nodes();
-    total_edges += subgraphs[i].num_edges();
-  }
+  // Same pattern x subgraph coverage matrix as Psum (the stream re-reduces
+  // the same pairs every round, so the cells are cache hits); the greedy
+  // pass below stays serial.
+  std::vector<const Graph*> rows;
+  rows.reserve(patterns.size());
+  for (const Graph& p : patterns) rows.push_back(&p);
+  const PatternCoverage covs =
+      ComputePatternCoverage(rows, subgraphs, config.match);
 
-  struct Cov {
-    DynamicBitset nodes;
-    DynamicBitset edges;
-    double weight;
-  };
-  // Same pattern×subgraph coverage matrix as Psum: independent cells, so
-  // cached lookups (the stream re-reduces the same pairs every round) fan
-  // out across the shared pool; the greedy pass below stays serial.
-  std::vector<Cov> covs(patterns.size());
-  ThreadPool::Shared().ParallelFor(patterns.size(), [&](size_t pi) {
-    covs[pi].nodes = DynamicBitset(total_nodes);
-    covs[pi].edges = DynamicBitset(total_edges);
-    for (size_t gi = 0; gi < subgraphs.size(); ++gi) {
-      CoverageResult local = MatchCache::Global().Coverage(
-          patterns[pi], subgraphs[gi], config.match);
-      for (size_t v : local.covered_nodes.ToVector()) {
-        covs[pi].nodes.Set(node_base[gi] + v);
-      }
-      for (size_t e : local.covered_edges.ToVector()) {
-        covs[pi].edges.Set(edge_base[gi] + e);
-      }
-    }
-    covs[pi].weight =
-        total_edges == 0
-            ? 0.0
-            : 1.0 - static_cast<double>(covs[pi].edges.Count()) /
-                        static_cast<double>(total_edges);
-  });
-
-  DynamicBitset covered_nodes(total_nodes);
-  DynamicBitset covered_edges(total_edges);
+  DynamicBitset covered_nodes(covs.total_nodes);
+  DynamicBitset covered_edges(covs.total_edges);
   std::vector<bool> chosen(patterns.size(), false);
   constexpr double kWeightFloor = 1e-2;
   for (;;) {
@@ -535,11 +476,12 @@ PatternReduction ReducePatterns(const std::vector<Graph>& patterns,
       // Greedy cover over nodes AND edges (Lemma 4.3's objective wants
       // full node coverage with minimal edge misses, so patterns that
       // only add edge coverage still earn selection).
-      size_t gain = covered_nodes.MarginalCount(covs[pi].nodes);
-      size_t edge_gain = covered_edges.MarginalCount(covs[pi].edges);
+      const PatternCoverage::Row& row = covs.rows[pi];
+      size_t gain = covered_nodes.MarginalCount(row.nodes);
+      size_t edge_gain = covered_edges.MarginalCount(row.edges);
       if (gain + edge_gain == 0) continue;
       double ratio = static_cast<double>(gain + edge_gain) /
-                     (covs[pi].weight + kWeightFloor);
+                     (row.weight + kWeightFloor);
       if (ratio > best_ratio) {
         best_ratio = ratio;
         best = pi;
@@ -547,16 +489,23 @@ PatternReduction ReducePatterns(const std::vector<Graph>& patterns,
     }
     if (best == static_cast<size_t>(-1)) break;
     chosen[best] = true;
-    covered_nodes.UnionWith(covs[best].nodes);
-    covered_edges.UnionWith(covs[best].edges);
+    covered_nodes.UnionWith(covs.rows[best].nodes);
+    covered_edges.UnionWith(covs.rows[best].edges);
     result.patterns.push_back(patterns[best]);
   }
-  result.edge_loss =
-      total_edges == 0
-          ? 0.0
-          : 1.0 - static_cast<double>(covered_edges.Count()) /
-                      static_cast<double>(total_edges);
+  result.edge_loss = covs.EdgeLoss(covered_edges);
   return result;
+}
+
+void StreamGvex::OpenSession(ClassLabel l) {
+  label_in_progress_ = true;
+  resume_label_ = l;
+  group_pos_ = 0;
+  partial_view_ = ExplanationView{};
+  partial_view_.label = l;
+  label_patterns_.clear();
+  label_codes_.clear();
+  committed_stats_ = stats_;
 }
 
 Result<ExplanationView> StreamGvex::ExplainLabel(
@@ -575,14 +524,7 @@ Result<ExplanationView> StreamGvex::ExplainLabel(
         MatchCache::Global().InvalidateTarget(s.subgraph);
       }
     }
-    label_in_progress_ = true;
-    resume_label_ = l;
-    group_pos_ = 0;
-    partial_view_ = ExplanationView{};
-    partial_view_.label = l;
-    label_patterns_.clear();
-    label_codes_.clear();
-    committed_stats_ = stats_;
+    OpenSession(l);
   } else {
     // Roll back stats of the half-processed graph; it replays in full, so
     // a resumed run ends with straight-through stats.
@@ -616,19 +558,11 @@ Result<ExplanationView> StreamGvex::ExplainLabel(
     committed_stats_ = stats_;
   }
 
-  ExplanationView view = std::move(partial_view_);
-  std::vector<Graph> patterns = std::move(label_patterns_);
+  Result<ExplanationView> view = ResidentView();
   label_in_progress_ = false;
   partial_view_ = ExplanationView{};
   label_patterns_.clear();
   label_codes_.clear();
-
-  // Batched Procedure 5 swap: drop patterns that stopped contributing.
-  std::vector<Graph> raw;
-  raw.reserve(view.subgraphs.size());
-  for (const auto& s : view.subgraphs) raw.push_back(s.subgraph);
-  PatternReduction reduction = ReducePatterns(patterns, raw, config_);
-  view.patterns = std::move(reduction.patterns);
   return view;
 }
 
@@ -666,14 +600,7 @@ Status StreamGvex::Restore(const StreamGvexSnapshot& snapshot) {
 Status StreamGvex::IngestGraph(const Graph& g, size_t graph_index,
                                ClassLabel l, double* explainability) {
   if (!label_in_progress_) {
-    label_in_progress_ = true;
-    resume_label_ = l;
-    group_pos_ = 0;
-    partial_view_ = ExplanationView{};
-    partial_view_.label = l;
-    label_patterns_.clear();
-    label_codes_.clear();
-    committed_stats_ = stats_;
+    OpenSession(l);
   } else if (resume_label_ != l) {
     return Status::FailedPrecondition(
         "resident session holds label " + std::to_string(resume_label_) +
@@ -704,6 +631,7 @@ Result<ExplanationView> StreamGvex::ResidentView() const {
   if (!label_in_progress_) {
     return Status::FailedPrecondition("no resident ingest state to finalize");
   }
+  // Batched Procedure 5 swap: drop patterns that stopped contributing.
   ExplanationView view = partial_view_;
   std::vector<Graph> raw;
   raw.reserve(view.subgraphs.size());

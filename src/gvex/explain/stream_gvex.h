@@ -82,7 +82,7 @@ class StreamGvex {
       std::unordered_set<std::string>* codes,
       const std::vector<NodeId>* order = nullptr);
 
-  /// Views per label, as in ApproxGvex::Explain but via the stream path.
+  /// The view of one label group, built by streaming each graph in turn.
   Result<ExplanationView> ExplainLabel(const GraphDatabase& db,
                                        const std::vector<ClassLabel>& assigned,
                                        ClassLabel l,
@@ -135,6 +135,9 @@ class StreamGvex {
   Status Restore(const StreamGvexSnapshot& snapshot);
 
  private:
+  /// Start a fresh resident session for label `l`.
+  void OpenSession(ClassLabel l);
+
   const GcnClassifier* model_;
   EVerify verifier_;
   Configuration config_;

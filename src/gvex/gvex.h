@@ -10,8 +10,9 @@
 //
 //   gvex::Configuration config;
 //   config.default_coverage = {0, 15};
-//   gvex::ApproxGvex solver(&*model, config);
-//   auto views = solver.Explain(db, assigned, {0, 1});
+//   gvex::ParallelExplainOptions options;  // num_threads = 1 by default
+//   auto views = gvex::ParallelApproxExplain(*model, db, assigned, {0, 1},
+//                                            config, options);
 #pragma once
 
 #include "gvex/baselines/explainer.h"

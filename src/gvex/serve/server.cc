@@ -681,8 +681,9 @@ Response ExplanationServer::Execute(const Request& req,
                    "graph features missing or wrong dimension (model wants " +
                    std::to_string(snap->model->config().input_dim) + ")"));
     }
-    resp.predicted = snap->model->Predict(req.graph);
-    resp.probabilities = snap->model->PredictProba(req.graph);
+    GcnTrace trace = snap->model->Forward(req.graph);
+    resp.predicted = trace.predicted();
+    resp.probabilities = std::move(trace.probs);
     if (const ExplanationView* view = snap->ForLabel(resp.predicted)) {
       for (size_t i = 0; i < view->patterns.size(); ++i) {
         if (cancel != nullptr && cancel->cancelled()) break;

@@ -1,12 +1,15 @@
 #include "gvex/serve/socket.h"
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <utility>
 
@@ -212,6 +215,13 @@ Result<int> ConnectEndpoint(const Endpoint& endpoint) {
   return fd;
 }
 
+// True when a connection waits in the listener's accept backlog.
+bool ListenerHasPending(int listen_fd) {
+  pollfd ready{listen_fd, POLLIN, 0};
+  return listen_fd >= 0 && ::poll(&ready, 1, 0) > 0 &&
+         (ready.revents & POLLIN) != 0;
+}
+
 }  // namespace
 
 std::string Endpoint::ToString() const {
@@ -232,6 +242,9 @@ Status SocketServer::Start(const Endpoint& endpoint) {
     GVEX_ASSIGN_OR_RETURN(listen_fd_, ListenTcp(endpoint.tcp_port,
                                                 &bound_port_));
   }
+  // AcceptLoop polls, then accepts under mu_: accept must never block
+  // while the lock is held.
+  ::fcntl(listen_fd_, F_SETFL, ::fcntl(listen_fd_, F_GETFL) | O_NONBLOCK);
   stopping_.store(false);
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -245,6 +258,17 @@ Status SocketServer::Start(const Endpoint& endpoint) {
 void SocketServer::Wait() {
   std::unique_lock<std::mutex> lock(mu_);
   accept_done_cv_.wait(lock, [this] { return accept_done_; });
+}
+
+void SocketServer::WaitIdle() {
+  std::unique_lock<std::mutex> lock(mu_);
+  for (;;) {
+    idle_cv_.wait(lock, [this] { return live_handlers_ == 0; });
+    // A connection is either still in the backlog or was accepted, and
+    // counted, under mu_ — never neither.
+    if (stopping_.load() || !ListenerHasPending(listen_fd_)) return;
+    idle_cv_.wait_for(lock, std::chrono::milliseconds(1));
+  }
 }
 
 void SocketServer::Stop() {
@@ -297,24 +321,38 @@ void SocketServer::ReapFinishedLocked() {
 
 void SocketServer::AcceptLoop() {
   while (!stopping_.load()) {
+    // shutdown() of the listener wakes the poll (POLLHUP).
+    pollfd ready{listen_fd_, POLLIN, 0};
+    if (::poll(&ready, 1, -1) < 0 && errno != EINTR) break;
+    std::lock_guard<std::mutex> lock(mu_);
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
-      if (errno == EINTR) continue;
+      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK ||
+          errno == ECONNABORTED) {
+        continue;
+      }
       break;  // listener shut down (or unrecoverable) — exit the loop
     }
     if (stopping_.load()) {
       ::close(fd);
       break;
     }
+    // BSD accept() inherits the listener's O_NONBLOCK; handlers block.
+    ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL) & ~O_NONBLOCK);
     DisableSigpipe(fd);
-    std::lock_guard<std::mutex> lock(mu_);
     ReapFinishedLocked();
     auto conn = std::make_unique<Connection>();
     conn->fd = fd;
     Connection* raw = conn.get();
+    ++live_handlers_;
     conn->thread = std::thread([this, raw] {
       ServeConnection(raw->fd);
-      raw->done.store(true);
+      {
+        std::lock_guard<std::mutex> done_lock(mu_);
+        --live_handlers_;
+      }
+      idle_cv_.notify_all();
+      raw->done.store(true);  // last: ReapFinishedLocked joins under mu_
     });
     connections_.push_back(std::move(conn));
   }

@@ -85,6 +85,14 @@ class SocketServer {
   /// Idempotent.
   void Stop();
 
+  /// Block until every connection handler has exited and no connection
+  /// waits in the accept backlog. A handler checks the process-global
+  /// socket failpoints before each read, so a driver that arms a fault
+  /// must first let the handlers of its closed connections finish, or one
+  /// of them may consume the fault meant for the next connection. Call it
+  /// between Start() and Stop(), not concurrently with either.
+  void WaitIdle();
+
   uint16_t bound_port() const { return bound_port_; }
 
  private:
@@ -103,6 +111,8 @@ class SocketServer {
   std::condition_variable accept_done_cv_;
   bool accept_done_ = false;
   bool accept_joined_ = false;
+  std::condition_variable idle_cv_;
+  size_t live_handlers_ = 0;  ///< accepted, handler not yet exited
   struct Connection {
     int fd = -1;
     std::thread thread;

@@ -5,7 +5,7 @@
 #include <cmath>
 
 #include "gvex/datasets/datasets.h"
-#include "gvex/explain/approx_gvex.h"
+#include "gvex/explain/parallel.h"
 #include "gvex/explain/verifier.h"
 #include "gvex/gnn/trainer.h"
 #include "gvex/graph/graph.h"
@@ -109,9 +109,9 @@ TEST_P(AggregatorAgnosticTest, GvexExplainsEveryAggregator) {
   Configuration config;
   config.theta = 0.08f;
   config.default_coverage = {0, 10};
-  ApproxGvex solver(&*model, config);
-  auto view = solver.ExplainLabel(db, assigned, 1);
-  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  auto set = ParallelApproxExplain(*model, db, assigned, {1}, config, {});
+  ASSERT_TRUE(set.ok()) << set.status().ToString();
+  const ExplanationView* view = &set->views[0];
   EXPECT_FALSE(view->subgraphs.empty());
   ViewVerification check = VerifyExplanationView(*view, db, *model, config);
   EXPECT_TRUE(check.ok()) << check.detail;

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "gvex/cluster/chaos.h"
+#include "gvex/common/failpoint.h"
 #include "gvex/serve/protocol.h"
 #include "gvex/serve/server.h"
 #include "gvex/serve/socket.h"
@@ -145,6 +146,52 @@ TEST(ChaosSocketTest, ServerSurvivesFiftyKilledPeers) {
   EXPECT_TRUE(resp->ok());
   EXPECT_EQ(resp->text, "doomed");
   client.Close();
+  socket.Stop();
+  server.Stop();
+}
+
+// A handler checks the socket failpoints before each read, so one still
+// winding down from a closed connection could take a fault armed for the
+// next connection. After WaitIdle no such handler is left: the fault hits
+// the connection it was armed for, every time.
+TEST(ChaosSocketTest, FaultArmedAfterWaitIdleHitsTheNextConnection) {
+  serve::ViewRegistry registry;
+  serve::ExplanationServer server(&registry, {});
+  ASSERT_TRUE(server.Start().ok());
+  serve::SocketServer socket(&server);
+  ASSERT_TRUE(socket.Start(serve::Endpoint::Tcp(0)).ok());
+  const uint16_t port = socket.bound_port();
+
+  serve::Request ping;
+  ping.type = serve::RequestType::kPing;
+  ping.text = "hello";
+  const std::string framed =
+      serve::FrameMessage(serve::EncodeRequestBody(ping));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+
+  for (int round = 0; round < 5; ++round) {
+    // The peer sends one request and leaves while its handler still
+    // sleeps before the reply, so the handler outlives the connection.
+    failpoint::ScopedFailpoint slow("socket.server.send",
+                                    "delay(20),limit(1)");
+    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr),
+                        sizeof(addr)), 0);
+    ASSERT_EQ(::send(fd, framed.data(), framed.size(), 0),
+              static_cast<ssize_t>(framed.size()));
+    ::close(fd);
+
+    socket.WaitIdle();
+    failpoint::ScopedFailpoint fault("socket.server.recv",
+                                     "error(io),limit(1)");
+    serve::SocketClient client;
+    ASSERT_TRUE(client.Connect(serve::Endpoint::Tcp(port)).ok());
+    EXPECT_TRUE(client.Call(ping).status().IsIoError()) << "round " << round;
+  }
   socket.Stop();
   server.Stop();
 }

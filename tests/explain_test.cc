@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <sstream>
 #include <unordered_set>
 
 #include "gvex/explain/approx_gvex.h"
@@ -12,6 +13,7 @@
 #include "gvex/explain/psum.h"
 #include "gvex/explain/stream_gvex.h"
 #include "gvex/explain/verifier.h"
+#include "gvex/explain/view_io.h"
 #include "gvex/matching/vf2.h"
 #include "gvex/metrics/metrics.h"
 #include "tests/test_util.h"
@@ -154,11 +156,19 @@ TEST(ApproxGvexTest, LowerBoundIsEnforced) {
   }
 }
 
+// ApproxGVEX's view of label 1, explained on one thread.
+Result<ExplanationView> ApproxView(const Configuration& config) {
+  const auto& ctx = MutagenicityContext();
+  GVEX_ASSIGN_OR_RETURN(ExplanationViewSet set,
+                        ParallelApproxExplain(ctx.model, ctx.db, ctx.assigned,
+                                              {1}, config, {}));
+  return std::move(set.views[0]);
+}
+
 TEST(ApproxGvexTest, ViewPassesFullVerification) {
   const auto& ctx = MutagenicityContext();
   Configuration config = TestConfig();
-  ApproxGvex solver(&ctx.model, config);
-  auto view = solver.ExplainLabel(ctx.db, ctx.assigned, 1);
+  auto view = ApproxView(config);
   ASSERT_TRUE(view.ok()) << view.status().ToString();
   ASSERT_FALSE(view->subgraphs.empty());
   EXPECT_FALSE(view->patterns.empty());
@@ -190,8 +200,7 @@ TEST(ApproxGvexTest, HigherUpperBoundNeverLowersExplainability) {
 
 TEST(ApproxGvexTest, FidelityIsStrong) {
   const auto& ctx = MutagenicityContext();
-  ApproxGvex solver(&ctx.model, TestConfig());
-  auto view = solver.ExplainLabel(ctx.db, ctx.assigned, 1);
+  auto view = ApproxView(TestConfig());
   ASSERT_TRUE(view.ok());
   FidelityReport fid =
       EvaluateFidelity(ctx.model, ctx.db, ToGraphExplanations(*view));
@@ -219,9 +228,8 @@ TEST(StreamGvexTest, AnytimeQualityWithinFactorOfBatch) {
   // should land within a modest factor of ApproxGVEX's explainability.
   const auto& ctx = MutagenicityContext();
   Configuration config = TestConfig();
-  ApproxGvex approx(&ctx.model, config);
   StreamGvex stream(&ctx.model, config);
-  auto av = approx.ExplainLabel(ctx.db, ctx.assigned, 1);
+  auto av = ApproxView(config);
   auto sv = stream.ExplainLabel(ctx.db, ctx.assigned, 1);
   ASSERT_TRUE(av.ok());
   ASSERT_TRUE(sv.ok());
@@ -282,28 +290,21 @@ TEST(ReducePatternsTest, KeepsCoverageDropsRedundant) {
   EXPECT_EQ(cov.covered_nodes.Count(), sub.num_nodes());
 }
 
-TEST(ParallelTest, MatchesSerialOutput) {
+TEST(ParallelTest, OneAndThreeThreadsWriteIdenticalViews) {
   const auto& ctx = MutagenicityContext();
-  Configuration config = TestConfig();
-  ApproxGvex serial(&ctx.model, config);
-  auto serial_set = serial.Explain(ctx.db, ctx.assigned, {0, 1});
-  ASSERT_TRUE(serial_set.ok());
-  auto parallel_set =
-      ParallelApproxExplain(ctx.model, ctx.db, ctx.assigned, {0, 1}, config,
-                            /*num_threads=*/3);
-  ASSERT_TRUE(parallel_set.ok());
-  ASSERT_EQ(parallel_set->views.size(), serial_set->views.size());
-  for (size_t i = 0; i < serial_set->views.size(); ++i) {
-    const auto& sv = serial_set->views[i];
-    const auto& pv = parallel_set->views[i];
-    EXPECT_EQ(sv.label, pv.label);
-    ASSERT_EQ(sv.subgraphs.size(), pv.subgraphs.size());
-    for (size_t j = 0; j < sv.subgraphs.size(); ++j) {
-      EXPECT_EQ(sv.subgraphs[j].graph_index, pv.subgraphs[j].graph_index);
-      EXPECT_EQ(sv.subgraphs[j].nodes, pv.subgraphs[j].nodes);
-    }
-    EXPECT_NEAR(sv.explainability, pv.explainability, 1e-9);
-  }
+  auto view_bytes = [&](size_t threads) {
+    ParallelExplainOptions options;
+    options.num_threads = threads;
+    auto set = ParallelApproxExplain(ctx.model, ctx.db, ctx.assigned, {0, 1},
+                                     TestConfig(), options);
+    EXPECT_TRUE(set.ok()) << set.status().ToString();
+    std::ostringstream out;
+    EXPECT_TRUE(set.ok() && WriteViewSet(*set, &out).ok());
+    return out.str();
+  };
+  const std::string one = view_bytes(1);
+  EXPECT_FALSE(one.empty());
+  EXPECT_EQ(one, view_bytes(3));
 }
 
 TEST(ViewTest, SummaryAndMetrics) {

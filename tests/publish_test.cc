@@ -14,7 +14,7 @@
 #include "gvex/cluster/publisher.h"
 #include "gvex/common/failpoint.h"
 #include "gvex/datasets/datasets.h"
-#include "gvex/explain/approx_gvex.h"
+#include "gvex/explain/parallel.h"
 #include "gvex/serve/protocol.h"
 #include "gvex/serve/server.h"
 #include "gvex/serve/socket.h"
@@ -41,13 +41,11 @@ const ViewBundle& TestBundle() {
     Configuration config;
     config.theta = 0.08f;
     config.default_coverage = {0, 12};
-    ApproxGvex solver(&ctx.model, config);
     auto* b = new ViewBundle;
-    for (ClassLabel label : {0, 1}) {
-      auto view = solver.ExplainLabel(ctx.db, ctx.assigned, label);
-      EXPECT_TRUE(view.ok()) << view.status().ToString();
-      b->views.views.push_back(std::move(*view));
-    }
+    auto set = ParallelApproxExplain(ctx.model, ctx.db, ctx.assigned, {0, 1},
+                                     config, {});
+    EXPECT_TRUE(set.ok()) << set.status().ToString();
+    b->views = std::move(*set);
     b->generation = 1;
     return b;
   }();
@@ -153,6 +151,9 @@ TEST(PublishTest, HealthGateRefusesSaturatedTargetWithoutInstalling) {
   small.num_workers = 1;
   small.max_queue = 1;
   target.Start(small);
+  // Train and explain the bundle's fixture now, not inside the hold below:
+  // under sanitizers that alone can outlast it.
+  const ViewBundle& bundle = TestBundle();
 
   // Fill the target: one request executing (held by the delay), one
   // parked in the 1-deep queue. queue_depth == max_queue, so the health
@@ -173,7 +174,7 @@ TEST(PublishTest, HealthGateRefusesSaturatedTargetWithoutInstalling) {
   PublishOptions options = FastOptions();
   options.retries = 0;
   options.targets.push_back(Endpoint::Tcp(target.port));
-  auto report = FanOutPublish(TestBundle(), options);
+  auto report = FanOutPublish(bundle, options);
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->failed, 1u);
   EXPECT_TRUE(report->targets[0].status.IsOverloaded())

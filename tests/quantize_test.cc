@@ -13,7 +13,7 @@
 
 #include "gvex/cluster/bundle.h"
 #include "gvex/common/rng.h"
-#include "gvex/explain/approx_gvex.h"
+#include "gvex/explain/parallel.h"
 #include "gvex/gnn/quantize.h"
 #include "gvex/serve/protocol.h"
 #include "gvex/serve/server.h"
@@ -179,14 +179,10 @@ const ExplanationViewSet& TestViews() {
     Configuration config;
     config.theta = 0.08f;
     config.default_coverage = {0, 10};
-    ApproxGvex solver(&ctx.model, config);
-    auto* out = new ExplanationViewSet;
-    for (ClassLabel label : {0, 1}) {
-      auto view = solver.ExplainLabel(ctx.db, ctx.assigned, label);
-      EXPECT_TRUE(view.ok()) << view.status().ToString();
-      out->views.push_back(std::move(*view));
-    }
-    return out;
+    auto set = ParallelApproxExplain(ctx.model, ctx.db, ctx.assigned, {0, 1},
+                                     config, {});
+    EXPECT_TRUE(set.ok()) << set.status().ToString();
+    return new ExplanationViewSet(std::move(*set));
   }();
   return *views;
 }

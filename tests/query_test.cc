@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "gvex/datasets/datasets.h"
-#include "gvex/explain/approx_gvex.h"
+#include "gvex/explain/parallel.h"
 #include "gvex/explain/query.h"
 #include "tests/test_util.h"
 
@@ -23,13 +23,10 @@ const Views& BothViews() {
     Configuration config;
     config.theta = 0.08f;
     config.default_coverage = {0, 12};
-    ApproxGvex solver(&ctx.model, config);
-    auto v1 = solver.ExplainLabel(ctx.db, ctx.assigned, 1);
-    auto v0 = solver.ExplainLabel(ctx.db, ctx.assigned, 0);
-    EXPECT_TRUE(v1.ok());
-    EXPECT_TRUE(v0.ok());
-    auto* out = new Views{std::move(*v1), std::move(*v0)};
-    return out;
+    auto set = ParallelApproxExplain(ctx.model, ctx.db, ctx.assigned, {1, 0},
+                                     config, {});
+    EXPECT_TRUE(set.ok());
+    return new Views{std::move(set->views[0]), std::move(set->views[1])};
   }();
   return *views;
 }

@@ -16,7 +16,7 @@
 #include "gvex/cluster/replicator.h"
 #include "gvex/common/failpoint.h"
 #include "gvex/datasets/datasets.h"
-#include "gvex/explain/approx_gvex.h"
+#include "gvex/explain/parallel.h"
 #include "gvex/obs/obs.h"
 #include "gvex/serve/protocol.h"
 #include "gvex/serve/server.h"
@@ -43,14 +43,10 @@ const ExplanationViewSet& ReplViews(size_t upper) {
     Configuration config;
     config.theta = 0.08f;
     config.default_coverage = {0, ul};
-    ApproxGvex solver(&ctx.model, config);
-    auto* out = new ExplanationViewSet;
-    for (ClassLabel label : {0, 1}) {
-      auto view = solver.ExplainLabel(ctx.db, ctx.assigned, label);
-      EXPECT_TRUE(view.ok()) << view.status().ToString();
-      out->views.push_back(std::move(*view));
-    }
-    return out;
+    auto set = ParallelApproxExplain(ctx.model, ctx.db, ctx.assigned, {0, 1},
+                                     config, {});
+    EXPECT_TRUE(set.ok()) << set.status().ToString();
+    return new ExplanationViewSet(std::move(*set));
   };
   static const ExplanationViewSet* twelve = build(12);
   static const ExplanationViewSet* eight = build(8);

@@ -80,14 +80,6 @@ Configuration TestConfig() {
   return config;
 }
 
-TEST(RobustnessTest, ApproxRespectsExpiredDeadline) {
-  const auto& ctx = MutagenicityContext();
-  ApproxGvex solver(&ctx.model, TestConfig());
-  Deadline expired(1e-9);
-  auto view = solver.ExplainLabel(ctx.db, ctx.assigned, 1, &expired);
-  EXPECT_TRUE(view.status().IsTimeout());
-}
-
 TEST(RobustnessTest, StreamRespectsExpiredDeadline) {
   const auto& ctx = MutagenicityContext();
   StreamGvex solver(&ctx.model, TestConfig());
@@ -98,10 +90,13 @@ TEST(RobustnessTest, StreamRespectsExpiredDeadline) {
 
 TEST(RobustnessTest, EmptyLabelGroupYieldsEmptyView) {
   const auto& ctx = MutagenicityContext();
-  ApproxGvex solver(&ctx.model, TestConfig());
   // Label 99 is assigned to nothing.
-  auto view = solver.ExplainLabel(ctx.db, ctx.assigned, 99);
-  ASSERT_TRUE(view.ok());
+  auto set = ParallelApproxExplain(ctx.model, ctx.db, ctx.assigned, {99},
+                                   TestConfig(), {});
+  ASSERT_TRUE(set.ok());
+  ASSERT_EQ(set->views.size(), 1u);
+  const ExplanationView* view = &set->views[0];
+  EXPECT_EQ(view->label, 99);
   EXPECT_TRUE(view->subgraphs.empty());
   EXPECT_TRUE(view->patterns.empty());
   EXPECT_EQ(view->explainability, 0.0);

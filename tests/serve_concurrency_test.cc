@@ -15,7 +15,7 @@
 #include "gvex/common/failpoint.h"
 
 #include "gvex/datasets/datasets.h"
-#include "gvex/explain/approx_gvex.h"
+#include "gvex/explain/parallel.h"
 #include "gvex/explain/query.h"
 #include "gvex/ingest/ingest.h"
 #include "gvex/matching/match_cache.h"
@@ -40,13 +40,11 @@ const ConcurrencyFixture& Fixture() {
     Configuration config;
     config.theta = 0.08f;
     config.default_coverage = {0, 12};
-    ApproxGvex solver(&ctx.model, config);
     auto* out = new ConcurrencyFixture;
-    for (ClassLabel label : {0, 1}) {
-      auto view = solver.ExplainLabel(ctx.db, ctx.assigned, label);
-      EXPECT_TRUE(view.ok());
-      out->set.views.push_back(std::move(*view));
-    }
+    auto set = ParallelApproxExplain(ctx.model, ctx.db, ctx.assigned, {0, 1},
+                                     config, {});
+    EXPECT_TRUE(set.ok());
+    out->set = std::move(*set);
     out->patterns.push_back(datasets::NitroGroupPattern());
     for (const auto& view : out->set.views) {
       for (const Graph& p : view.patterns) out->patterns.push_back(p);

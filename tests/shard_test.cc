@@ -14,7 +14,7 @@
 #include "gvex/cluster/router.h"
 #include "gvex/cluster/shard_map.h"
 #include "gvex/common/failpoint.h"
-#include "gvex/explain/approx_gvex.h"
+#include "gvex/explain/parallel.h"
 #include "gvex/serve/protocol.h"
 #include "gvex/serve/server.h"
 #include "gvex/serve/view_registry.h"
@@ -40,14 +40,10 @@ const ExplanationViewSet& FleetViews() {
     Configuration config;
     config.theta = 0.08f;
     config.default_coverage = {0, 12};
-    ApproxGvex solver(&ctx.model, config);
-    auto* out = new ExplanationViewSet;
-    for (ClassLabel label : {0, 1}) {
-      auto view = solver.ExplainLabel(ctx.db, ctx.assigned, label);
-      EXPECT_TRUE(view.ok()) << view.status().ToString();
-      out->views.push_back(std::move(*view));
-    }
-    return out;
+    auto set = ParallelApproxExplain(ctx.model, ctx.db, ctx.assigned, {0, 1},
+                                     config, {});
+    EXPECT_TRUE(set.ok()) << set.status().ToString();
+    return new ExplanationViewSet(std::move(*set));
   }();
   return *set;
 }

@@ -2,7 +2,7 @@
 // must fail exactly the constraint that was violated.
 #include <gtest/gtest.h>
 
-#include "gvex/explain/approx_gvex.h"
+#include "gvex/explain/parallel.h"
 #include "gvex/explain/verifier.h"
 #include "tests/test_util.h"
 
@@ -22,11 +22,11 @@ Configuration TestConfig() {
 const ExplanationView& GoodView() {
   static const ExplanationView* view = [] {
     const auto& ctx = MutagenicityContext();
-    ApproxGvex solver(&ctx.model, TestConfig());
-    auto v = solver.ExplainLabel(ctx.db, ctx.assigned, 1);
-    EXPECT_TRUE(v.ok());
-    EXPECT_FALSE(v->subgraphs.empty());
-    return new ExplanationView(std::move(*v));
+    auto set = ParallelApproxExplain(ctx.model, ctx.db, ctx.assigned, {1},
+                                     TestConfig(), {});
+    EXPECT_TRUE(set.ok());
+    EXPECT_FALSE(set->views[0].subgraphs.empty());
+    return new ExplanationView(std::move(set->views[0]));
   }();
   return *view;
 }

@@ -27,6 +27,13 @@ ctest --test-dir build-asan --output-on-failure -j "$(nproc)" "$@"
 # for every failure path the injected faults can reach.
 ctest --test-dir build-asan --output-on-failure -L chaos-smoke
 
+# Contention leg: the determinism contracts (seed-pure chaos logs,
+# byte-identical served answers) must hold with every core busy, not only
+# on an idle machine, so the timing-sensitive suites run five times over
+# at full parallelism. The gtests carry no ctest labels; select by name.
+ctest --test-dir build-asan --output-on-failure -j "$(nproc)" \
+  --repeat until-fail:5 -R 'Chaos|Serve|Cluster|Shard|Replication'
+
 # The serving smoke (also registered as the `serve-smoke`,
 # `cluster-smoke`, `ingest-smoke`, `fleet-smoke`, and `zoo-smoke` ctest
 # labels) exercises the socket server, worker pool, deadline monitor,
