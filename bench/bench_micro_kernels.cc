@@ -158,8 +158,7 @@ BENCHMARK(BM_GcnTrainingStep);
 // call) and VF2 matching (span + three counter flushes per run). The
 // runtime kill-switch flips obs::SetEnabled inside one binary, so both
 // arms execute the exact same code; interleaved A/B rounds cancel drift
-// on a busy host. Compile-time GVEX_OBS_DISABLED removes even the
-// remaining relaxed atomic load.
+// on a busy host.
 double MeasureObsOverheadPct(gvex::obs::PerfReport* report) {
   Graph g = MakeBenchGraph(96, 7);
   GcnClassifier model = MakeBenchModel();

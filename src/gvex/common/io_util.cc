@@ -3,12 +3,14 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
+#include <filesystem>
 #include <limits>
+#include <sstream>
 #include <thread>
 
 #include "gvex/common/checksum.h"
 #include "gvex/common/failpoint.h"
+#include "gvex/common/logging.h"
 #include "gvex/common/string_util.h"
 
 namespace gvex {
@@ -43,6 +45,127 @@ Result<std::string> ReadSection(std::istream* in) {
     return Status::IoError("section checksum mismatch");
   }
   return payload;
+}
+
+namespace {
+
+// "gvexviews-v2" -> "gvexviews-end".
+std::string EndTag(const std::string& magic) {
+  return magic.substr(0, magic.rfind("-v")) + "-end";
+}
+
+// Prefix a record-file error with the format and record it came from.
+Status InRecord(const std::string& magic, size_t i, const Status& st) {
+  return Status(st.code(), magic + ": record " + std::to_string(i) + ": " +
+                               st.message());
+}
+
+}  // namespace
+
+Status WriteRecordFile(std::ostream* out, const std::string& magic, size_t n,
+                       const RecordWriter& write_record) {
+  SetMaxPrecision(out);
+  (*out) << magic << "\n" << n << "\n";
+  for (size_t i = 0; i < n; ++i) {
+    std::ostringstream rec;
+    SetMaxPrecision(&rec);
+    GVEX_RETURN_NOT_OK(write_record(i, &rec));
+    GVEX_RETURN_NOT_OK(WriteSection(out, rec.str()));
+  }
+  (*out) << EndTag(magic) << " " << n << "\n";
+  if (!out->good()) return Status::IoError(magic + ": stream write failed");
+  return Status::OK();
+}
+
+Status ReadRecordFile(std::istream* in, const std::string& magic,
+                      const RecordReader& read_record) {
+  std::string got;
+  if (!((*in) >> got) || got != magic) {
+    return Status::IoError(magic + ": bad magic");
+  }
+  size_t n = 0;
+  if (!((*in) >> n)) return Status::IoError(magic + ": bad record count");
+  for (size_t i = 0; i < n; ++i) {
+    Result<std::string> payload = ReadSection(in);
+    if (!payload.ok()) return InRecord(magic, i, payload.status());
+    std::istringstream rec(*payload);
+    Status st = read_record(i, n, &rec);
+    if (!st.ok()) return InRecord(magic, i, st);
+  }
+  std::string tag;
+  size_t n_end = 0;
+  if (!((*in) >> tag >> n_end) || tag != EndTag(magic) || n_end != n) {
+    return Status::IoError(magic + ": end marker missing (truncated file?)");
+  }
+  return Status::OK();
+}
+
+Result<AppendLog> AppendLog::Open(const std::string& path,
+                                  const std::string& magic, bool resume,
+                                  const Replayer& replay) {
+  AppendLog log;
+  log.path_ = path;
+  bool fresh = true;
+  if (resume) {
+    std::ifstream in(path);
+    if (in.is_open()) {
+      std::string line;
+      if (!std::getline(in, line) || line != magic) {
+        return Status::IoError(magic + " log " + path + " has a bad magic");
+      }
+      // A header torn before its newline holds no records: rewrite it.
+      fresh = in.eof();
+      std::streamoff valid_end = in.tellg();
+      size_t records = 0;
+      Status tail;
+      while (!fresh && in.peek() != std::char_traits<char>::eof()) {
+        Result<std::string> payload = ReadSection(&in);
+        if (payload.ok()) {
+          std::istringstream rec(*payload);
+          tail = replay(&rec);
+        } else {
+          tail = payload.status();
+        }
+        if (!tail.ok()) break;
+        valid_end = in.tellg();
+        ++records;
+      }
+      in.close();
+      std::error_code ec;
+      const std::uintmax_t size = std::filesystem::file_size(path, ec);
+      if (!fresh && !ec && size > static_cast<std::uintmax_t>(valid_end)) {
+        GVEX_LOG(Warning) << magic << " log " << path << ": dropping a "
+                          << (size - valid_end) << "-byte torn tail ("
+                          << tail.ToString() << ") after " << records
+                          << " records";
+        std::filesystem::resize_file(path, valid_end, ec);
+      }
+      if (ec) {
+        return Status::IoError("cannot trim torn tail of " + path + ": " +
+                               ec.message());
+      }
+    }
+  }
+  log.out_.open(path, fresh ? std::ios::out | std::ios::trunc
+                            : std::ios::out | std::ios::app);
+  if (!log.out_.is_open()) return Status::IoError("cannot open " + path);
+  if (fresh) {
+    log.out_ << magic << "\n";
+    log.out_.flush();
+    if (!log.out_.good()) {
+      return Status::IoError("cannot initialize " + magic + " log " + path);
+    }
+  }
+  return log;
+}
+
+Status AppendLog::Append(const std::string& payload) {
+  GVEX_RETURN_NOT_OK(WriteSection(&out_, payload));
+  out_.flush();
+  if (!out_.good()) {
+    return Status::IoError("append to " + path_ + " failed");
+  }
+  return Status::OK();
 }
 
 void SetMaxPrecision(std::ostream* out) {

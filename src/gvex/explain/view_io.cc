@@ -1,7 +1,6 @@
 #include "gvex/explain/view_io.h"
 
 #include <fstream>
-#include <sstream>
 
 #include "gvex/common/failpoint.h"
 #include "gvex/common/io_util.h"
@@ -10,9 +9,7 @@
 namespace gvex {
 
 namespace {
-constexpr const char* kMagicV1 = "gvexviews-v1";
-constexpr const char* kMagicV2 = "gvexviews-v2";
-constexpr const char* kEndTag = "gvexviews-end";
+constexpr const char* kMagic = "gvexviews-v2";
 
 Status WriteViewRecord(const ExplanationView& view, std::ostream* out) {
   (*out) << "view " << view.label << " " << view.patterns.size() << " "
@@ -76,57 +73,22 @@ Result<ExplanationSubgraph> ReadExplanationSubgraph(std::istream* in) {
 
 Status WriteViewSet(const ExplanationViewSet& set, std::ostream* out) {
   GVEX_FAILPOINT_RETURN("view_io.write");
-  SetMaxPrecision(out);
-  (*out) << kMagicV2 << "\n" << set.views.size() << "\n";
-  for (const ExplanationView& view : set.views) {
-    std::ostringstream rec;
-    SetMaxPrecision(&rec);
-    GVEX_RETURN_NOT_OK(WriteViewRecord(view, &rec));
-    GVEX_RETURN_NOT_OK(WriteSection(out, rec.str()));
-  }
-  (*out) << kEndTag << " " << set.views.size() << "\n";
-  if (!out->good()) return Status::IoError("view stream write failed");
-  return Status::OK();
-}
-
-Status WriteViewSetV1(const ExplanationViewSet& set, std::ostream* out) {
-  (*out) << kMagicV1 << "\n" << set.views.size() << "\n";
-  for (const ExplanationView& view : set.views) {
-    GVEX_RETURN_NOT_OK(WriteViewRecord(view, out));
-  }
-  if (!out->good()) return Status::IoError("view stream write failed");
-  return Status::OK();
+  return WriteRecordFile(out, kMagic, set.views.size(),
+                         [&](size_t i, std::ostream* rec) {
+                           return WriteViewRecord(set.views[i], rec);
+                         });
 }
 
 Result<ExplanationViewSet> ReadViewSet(std::istream* in) {
   GVEX_FAILPOINT_RETURN("view_io.read");
-  std::string magic;
-  if (!((*in) >> magic)) return Status::IoError("bad view-set magic");
-  size_t num_views = 0;
-  if (!((*in) >> num_views)) return Status::IoError("bad view count");
   ExplanationViewSet set;
-  if (magic == kMagicV2) {
-    for (size_t vi = 0; vi < num_views; ++vi) {
-      GVEX_ASSIGN_OR_RETURN(std::string payload, ReadSection(in));
-      std::istringstream rec(payload);
-      GVEX_ASSIGN_OR_RETURN(ExplanationView view, ReadViewRecord(&rec));
-      set.views.push_back(std::move(view));
-    }
-    std::string tag;
-    size_t n_end = 0;
-    if (!((*in) >> tag >> n_end) || tag != kEndTag || n_end != num_views) {
-      return Status::IoError("view-set end marker missing (truncated file?)");
-    }
-    return set;
-  }
-  if (magic == kMagicV1) {
-    for (size_t vi = 0; vi < num_views; ++vi) {
-      GVEX_ASSIGN_OR_RETURN(ExplanationView view, ReadViewRecord(in));
-      set.views.push_back(std::move(view));
-    }
-    return set;
-  }
-  return Status::IoError("bad view-set magic");
+  GVEX_RETURN_NOT_OK(ReadRecordFile(
+      in, kMagic, [&](size_t, size_t, std::istream* rec) -> Status {
+        GVEX_ASSIGN_OR_RETURN(ExplanationView view, ReadViewRecord(rec));
+        set.views.push_back(std::move(view));
+        return Status::OK();
+      }));
+  return set;
 }
 
 Status SaveViewSet(const ExplanationViewSet& set, const std::string& path) {

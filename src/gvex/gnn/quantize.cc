@@ -2,43 +2,59 @@
 
 #include <cmath>
 #include <cstring>
-#include <sstream>
 
 #include "gvex/common/io_util.h"
+#include "gvex/gnn/serialize.h"
 
 namespace gvex {
 
 namespace {
 
 constexpr const char* kMagic = "gvexgcnq-v1";
-constexpr const char* kEndTag = "gvexgcnq-end";
 
-// Mirrors the gvexgcn-v2 config line (serialize.cc); kept in sync by the
-// quantize round-trip tests, which push a config through both paths.
-void WriteConfigLine(const GcnConfig& c, std::ostream* out) {
-  (*out) << c.input_dim << " " << c.hidden_dim << " " << c.num_layers << " "
-         << c.num_classes << " " << c.seed << " " << c.edge_type_weights.size();
-  for (float w : c.edge_type_weights) (*out) << " " << w;
-  (*out) << " " << static_cast<int>(c.propagation) << "\n";
+void WriteTensorRecord(const QuantizedTensor& t, std::ostream* rec) {
+  (*rec) << t.rows << " " << t.cols;
+  if (t.precision == WeightPrecision::kFp16) {
+    for (uint16_t h : t.fp16) (*rec) << " " << h;
+  } else {
+    for (float s : t.scales) (*rec) << " " << s;
+    for (int8_t q : t.int8) (*rec) << " " << static_cast<int>(q);
+  }
+  (*rec) << "\n";
 }
 
-Status ReadConfigLine(std::istream* in, GcnConfig* config) {
-  size_t num_edge_weights = 0;
-  if (!((*in) >> config->input_dim >> config->hidden_dim >>
-        config->num_layers >> config->num_classes >> config->seed >>
-        num_edge_weights)) {
-    return Status::IoError("bad quantized model config");
+Result<QuantizedTensor> ReadTensorRecord(std::istream* rec,
+                                         WeightPrecision precision) {
+  QuantizedTensor t;
+  t.precision = precision;
+  if (!((*rec) >> t.rows >> t.cols)) {
+    return Status::IoError("bad quantized tensor shape");
   }
-  config->edge_type_weights.resize(num_edge_weights);
-  for (float& w : config->edge_type_weights) {
-    if (!((*in) >> w)) return Status::IoError("bad edge weight");
+  const size_t count = t.rows * t.cols;
+  if (t.precision == WeightPrecision::kFp16) {
+    t.fp16.resize(count);
+    for (uint16_t& h : t.fp16) {
+      uint32_t v = 0;
+      if (!((*rec) >> v) || v > 0xFFFFu) {
+        return Status::IoError("bad fp16 tensor value");
+      }
+      h = static_cast<uint16_t>(v);
+    }
+    return t;
   }
-  int propagation = 0;
-  if (!((*in) >> propagation) || propagation < 0 || propagation > 2) {
-    return Status::IoError("bad propagation kind");
+  t.scales.resize(t.rows);
+  for (float& s : t.scales) {
+    if (!((*rec) >> s)) return Status::IoError("bad int8 tensor scale");
   }
-  config->propagation = static_cast<Graph::PropagationKind>(propagation);
-  return Status::OK();
+  t.int8.resize(count);
+  for (int8_t& q : t.int8) {
+    int v = 0;
+    if (!((*rec) >> v) || v < -128 || v > 127) {
+      return Status::IoError("bad int8 tensor value");
+    }
+    q = static_cast<int8_t>(v);
+  }
+  return t;
 }
 
 }  // namespace
@@ -205,94 +221,45 @@ Status WriteQuantizedModel(const QuantizedModel& qm, std::ostream* out) {
   if (qm.precision == WeightPrecision::kFp32) {
     return Status::InvalidArgument("quantized payload cannot be fp32");
   }
-  SetMaxPrecision(out);
-  (*out) << kMagic << "\n" << (1 + qm.tensors.size()) << "\n";
-  {
-    std::ostringstream rec;
-    SetMaxPrecision(&rec);
-    rec << WeightPrecisionName(qm.precision) << "\n";
-    WriteConfigLine(qm.config, &rec);
-    GVEX_RETURN_NOT_OK(WriteSection(out, rec.str()));
-  }
-  for (const QuantizedTensor& t : qm.tensors) {
-    std::ostringstream rec;
-    SetMaxPrecision(&rec);
-    rec << t.rows << " " << t.cols;
-    if (t.precision == WeightPrecision::kFp16) {
-      for (uint16_t h : t.fp16) rec << " " << h;
-    } else {
-      for (float s : t.scales) rec << " " << s;
-      for (int8_t q : t.int8) rec << " " << static_cast<int>(q);
-    }
-    rec << "\n";
-    GVEX_RETURN_NOT_OK(WriteSection(out, rec.str()));
-  }
-  (*out) << kEndTag << " " << (1 + qm.tensors.size()) << "\n";
-  if (!out->good()) return Status::IoError("quantized model write failed");
-  return Status::OK();
+  // Record 0 is the precision and config line, then one per tensor.
+  return WriteRecordFile(out, kMagic, 1 + qm.tensors.size(),
+                         [&](size_t i, std::ostream* rec) {
+                           if (i == 0) {
+                             (*rec) << WeightPrecisionName(qm.precision)
+                                    << "\n";
+                             WriteGcnConfig(qm.config, rec);
+                           } else {
+                             WriteTensorRecord(qm.tensors[i - 1], rec);
+                           }
+                           return Status::OK();
+                         });
 }
 
 Result<QuantizedModel> ReadQuantizedModel(std::istream* in) {
-  std::string magic;
-  if (!((*in) >> magic) || magic != kMagic) {
-    return Status::IoError("bad quantized model magic");
-  }
-  size_t num_sections = 0;
-  if (!((*in) >> num_sections) || num_sections == 0) {
-    return Status::IoError("bad quantized model section count");
-  }
   QuantizedModel qm;
-  {
-    GVEX_ASSIGN_OR_RETURN(std::string payload, ReadSection(in));
-    std::istringstream rec(payload);
-    std::string precision_name;
-    if (!(rec >> precision_name)) {
-      return Status::IoError("bad quantized model precision");
-    }
-    GVEX_ASSIGN_OR_RETURN(qm.precision, ParseWeightPrecision(precision_name));
-    if (qm.precision == WeightPrecision::kFp32) {
-      return Status::IoError("quantized payload declares fp32");
-    }
-    GVEX_RETURN_NOT_OK(ReadConfigLine(&rec, &qm.config));
-  }
-  for (size_t i = 0; i + 1 < num_sections; ++i) {
-    GVEX_ASSIGN_OR_RETURN(std::string payload, ReadSection(in));
-    std::istringstream rec(payload);
-    QuantizedTensor t;
-    t.precision = qm.precision;
-    if (!(rec >> t.rows >> t.cols)) {
-      return Status::IoError("bad quantized tensor shape");
-    }
-    const size_t count = t.rows * t.cols;
-    if (t.precision == WeightPrecision::kFp16) {
-      t.fp16.resize(count);
-      for (uint16_t& h : t.fp16) {
-        uint32_t v = 0;
-        if (!(rec >> v) || v > 0xFFFFu) {
-          return Status::IoError("bad fp16 tensor value");
+  size_t records = 0;
+  GVEX_RETURN_NOT_OK(ReadRecordFile(
+      in, kMagic, [&](size_t i, size_t, std::istream* rec) -> Status {
+        records = i + 1;
+        if (i > 0) {
+          GVEX_ASSIGN_OR_RETURN(QuantizedTensor t,
+                                ReadTensorRecord(rec, qm.precision));
+          qm.tensors.push_back(std::move(t));
+          return Status::OK();
         }
-        h = static_cast<uint16_t>(v);
-      }
-    } else {
-      t.scales.resize(t.rows);
-      for (float& s : t.scales) {
-        if (!(rec >> s)) return Status::IoError("bad int8 tensor scale");
-      }
-      t.int8.resize(count);
-      for (int8_t& q : t.int8) {
-        int v = 0;
-        if (!(rec >> v) || v < -128 || v > 127) {
-          return Status::IoError("bad int8 tensor value");
+        std::string precision_name;
+        if (!((*rec) >> precision_name)) {
+          return Status::IoError("bad quantized model precision");
         }
-        q = static_cast<int8_t>(v);
-      }
-    }
-    qm.tensors.push_back(std::move(t));
-  }
-  std::string tag;
-  size_t n_end = 0;
-  if (!((*in) >> tag >> n_end) || tag != kEndTag || n_end != num_sections) {
-    return Status::IoError("quantized model end marker missing");
+        GVEX_ASSIGN_OR_RETURN(qm.precision,
+                              ParseWeightPrecision(precision_name));
+        if (qm.precision == WeightPrecision::kFp32) {
+          return Status::IoError("quantized payload declares fp32");
+        }
+        return ReadGcnConfig(rec, &qm.config);
+      }));
+  if (records == 0) {
+    return Status::IoError(std::string(kMagic) + ": no records");
   }
   return qm;
 }

@@ -87,9 +87,8 @@ Result<GcnClassifier> DequantizeModel(const QuantizedModel& qm);
 /// max_r(scale_r) / 2 for int8. Tests pin the actual error under this.
 float QuantizationErrorBound(const QuantizedTensor& t);
 
-// Sectioned serialization (gvexgcnq-v1): magic, section count, config
-// section, one CRC section per tensor, end marker — the gvexgcn-v2
-// framing with quantized payloads.
+// gvexgcnq-v1 sealed record file (common/io_util.h): a precision + config
+// record, then one record per quantized tensor.
 Status WriteQuantizedModel(const QuantizedModel& qm, std::ostream* out);
 Result<QuantizedModel> ReadQuantizedModel(std::istream* in);
 

@@ -1,7 +1,7 @@
 #include "gvex/gnn/serialize.h"
 
 #include <fstream>
-#include <sstream>
+#include <optional>
 
 #include "gvex/common/failpoint.h"
 #include "gvex/common/io_util.h"
@@ -9,9 +9,7 @@
 namespace gvex {
 
 namespace {
-constexpr const char* kMagicV1 = "gvexgcn-v1";
-constexpr const char* kMagicV2 = "gvexgcn-v2";
-constexpr const char* kEndTag = "gvexgcn-end";
+constexpr const char* kMagic = "gvexgcn-v2";
 
 void WriteMatrix(const Matrix& m, std::ostream* out) {
   (*out) << m.rows() << " " << m.cols();
@@ -29,14 +27,16 @@ bool ReadMatrix(std::istream* in, Matrix* m) {
   return true;
 }
 
-void WriteConfigLine(const GcnConfig& c, std::ostream* out) {
+}  // namespace
+
+void WriteGcnConfig(const GcnConfig& c, std::ostream* out) {
   (*out) << c.input_dim << " " << c.hidden_dim << " " << c.num_layers << " "
          << c.num_classes << " " << c.seed << " " << c.edge_type_weights.size();
   for (float w : c.edge_type_weights) (*out) << " " << w;
   (*out) << " " << static_cast<int>(c.propagation) << "\n";
 }
 
-Status ReadConfigLine(std::istream* in, GcnConfig* config) {
+Status ReadGcnConfig(std::istream* in, GcnConfig* config) {
   size_t num_edge_weights = 0;
   if (!((*in) >> config->input_dim >> config->hidden_dim >>
         config->num_layers >> config->num_classes >> config->seed >>
@@ -55,94 +55,52 @@ Status ReadConfigLine(std::istream* in, GcnConfig* config) {
   return Status::OK();
 }
 
-Result<GcnClassifier> ReadV2Body(std::istream* in) {
-  size_t num_sections = 0;
-  if (!((*in) >> num_sections) || num_sections == 0) {
-    return Status::IoError("bad model section count");
-  }
-  GVEX_ASSIGN_OR_RETURN(std::string config_payload, ReadSection(in));
-  std::istringstream config_in(config_payload);
-  GcnConfig config;
-  GVEX_RETURN_NOT_OK(ReadConfigLine(&config_in, &config));
-  GVEX_ASSIGN_OR_RETURN(GcnClassifier model, GcnClassifier::Create(config));
-  std::vector<Matrix*> params = model.MutableParameters();
-  if (params.size() != num_sections - 1) {
-    return Status::IoError("model tensor count mismatch");
-  }
-  for (Matrix* p : params) {
-    GVEX_ASSIGN_OR_RETURN(std::string payload, ReadSection(in));
-    std::istringstream tensor_in(payload);
-    Matrix loaded;
-    if (!ReadMatrix(&tensor_in, &loaded)) {
-      return Status::IoError("bad model tensor");
-    }
-    if (loaded.rows() != p->rows() || loaded.cols() != p->cols()) {
-      return Status::IoError("model tensor shape mismatch");
-    }
-    *p = std::move(loaded);
-  }
-  std::string tag;
-  size_t n_end = 0;
-  if (!((*in) >> tag >> n_end) || tag != kEndTag || n_end != num_sections) {
-    return Status::IoError("model end marker missing (truncated file?)");
-  }
-  return model;
-}
-
-Result<GcnClassifier> ReadV1Body(std::istream* in) {
-  GcnConfig config;
-  GVEX_RETURN_NOT_OK(ReadConfigLine(in, &config));
-  GVEX_ASSIGN_OR_RETURN(GcnClassifier model, GcnClassifier::Create(config));
-  for (Matrix* p : model.MutableParameters()) {
-    Matrix loaded;
-    if (!ReadMatrix(in, &loaded)) return Status::IoError("bad model tensor");
-    if (loaded.rows() != p->rows() || loaded.cols() != p->cols()) {
-      return Status::IoError("model tensor shape mismatch");
-    }
-    *p = std::move(loaded);
-  }
-  return model;
-}
-
-}  // namespace
-
 Status GcnSerializer::Write(const GcnClassifier& model, std::ostream* out) {
   GVEX_FAILPOINT_RETURN("gnn.serialize.write");
-  SetMaxPrecision(out);
+  // Record 0 is the config line, then one record per parameter tensor.
   std::vector<const Matrix*> params = model.Parameters();
-  (*out) << kMagicV2 << "\n" << (1 + params.size()) << "\n";
-  {
-    std::ostringstream rec;
-    SetMaxPrecision(&rec);
-    WriteConfigLine(model.config(), &rec);
-    GVEX_RETURN_NOT_OK(WriteSection(out, rec.str()));
-  }
-  for (const Matrix* p : params) {
-    std::ostringstream rec;
-    SetMaxPrecision(&rec);
-    WriteMatrix(*p, &rec);
-    GVEX_RETURN_NOT_OK(WriteSection(out, rec.str()));
-  }
-  (*out) << kEndTag << " " << (1 + params.size()) << "\n";
-  if (!out->good()) return Status::IoError("model write failed");
-  return Status::OK();
-}
-
-Status GcnSerializer::WriteV1(const GcnClassifier& model, std::ostream* out) {
-  (*out) << kMagicV1 << "\n";
-  WriteConfigLine(model.config(), out);
-  for (const Matrix* p : model.Parameters()) WriteMatrix(*p, out);
-  if (!out->good()) return Status::IoError("model write failed");
-  return Status::OK();
+  return WriteRecordFile(out, kMagic, 1 + params.size(),
+                         [&](size_t i, std::ostream* rec) {
+                           if (i == 0) {
+                             WriteGcnConfig(model.config(), rec);
+                           } else {
+                             WriteMatrix(*params[i - 1], rec);
+                           }
+                           return Status::OK();
+                         });
 }
 
 Result<GcnClassifier> GcnSerializer::Read(std::istream* in) {
   GVEX_FAILPOINT_RETURN("gnn.serialize.read");
-  std::string magic;
-  if (!((*in) >> magic)) return Status::IoError("bad model magic");
-  if (magic == kMagicV2) return ReadV2Body(in);
-  if (magic == kMagicV1) return ReadV1Body(in);
-  return Status::IoError("bad model magic");
+  std::optional<GcnClassifier> model;
+  std::vector<Matrix*> params;
+  GVEX_RETURN_NOT_OK(ReadRecordFile(
+      in, kMagic, [&](size_t i, size_t n, std::istream* rec) -> Status {
+        if (i == 0) {
+          GcnConfig config;
+          GVEX_RETURN_NOT_OK(ReadGcnConfig(rec, &config));
+          GVEX_ASSIGN_OR_RETURN(GcnClassifier created,
+                                GcnClassifier::Create(config));
+          model.emplace(std::move(created));
+          params = model->MutableParameters();
+          if (params.size() != n - 1) {
+            return Status::IoError("model tensor count mismatch");
+          }
+          return Status::OK();
+        }
+        Matrix* p = params[i - 1];
+        Matrix loaded;
+        if (!ReadMatrix(rec, &loaded)) {
+          return Status::IoError("bad model tensor");
+        }
+        if (loaded.rows() != p->rows() || loaded.cols() != p->cols()) {
+          return Status::IoError("model tensor shape mismatch");
+        }
+        *p = std::move(loaded);
+        return Status::OK();
+      }));
+  if (!model) return Status::IoError(std::string(kMagic) + ": no records");
+  return std::move(*model);
 }
 
 Status GcnSerializer::Save(const GcnClassifier& model,

@@ -1,65 +1,15 @@
 #include "gvex/graph/graph_io.h"
 
 #include <fstream>
-#include <sstream>
 
 #include "gvex/common/failpoint.h"
 #include "gvex/common/io_util.h"
-#include "gvex/common/string_util.h"
 
 namespace gvex {
 
 namespace {
-constexpr const char* kMagicV1 = "gvexdb-v1";
-constexpr const char* kMagicV2 = "gvexdb-v2";
-constexpr const char* kEndTag = "gvexdb-end";
+constexpr const char* kMagic = "gvexdb-v2";
 constexpr const char* kGraphMagic = "gvexgraph-v1";
-
-// One database record: the "g <label> <name>" line plus the graph body.
-Status WriteDbRecord(const GraphDatabase& db, size_t i, std::ostream* out) {
-  (*out) << "g " << db.label(i) << " "
-         << (db.name(i).empty() ? "-" : db.name(i)) << "\n";
-  return WriteGraph(db.graph(i), out);
-}
-
-Status ReadDbRecord(std::istream* in, GraphDatabase* db) {
-  std::string tag, name;
-  ClassLabel label;
-  if (!((*in) >> tag >> label >> name) || tag != "g") {
-    return Status::IoError("bad graph header");
-  }
-  GVEX_ASSIGN_OR_RETURN(Graph g, ReadGraph(in));
-  db->Add(std::move(g), label, name == "-" ? "" : name);
-  return Status::OK();
-}
-
-Result<GraphDatabase> ReadDatabaseV1Body(std::istream* in) {
-  size_t m = 0;
-  if (!((*in) >> m)) return Status::IoError("bad graph count");
-  GraphDatabase db;
-  for (size_t i = 0; i < m; ++i) {
-    GVEX_RETURN_NOT_OK(ReadDbRecord(in, &db));
-  }
-  return db;
-}
-
-Result<GraphDatabase> ReadDatabaseV2Body(std::istream* in) {
-  size_t m = 0;
-  if (!((*in) >> m)) return Status::IoError("bad graph count");
-  GraphDatabase db;
-  for (size_t i = 0; i < m; ++i) {
-    GVEX_ASSIGN_OR_RETURN(std::string payload, ReadSection(in));
-    std::istringstream rec(payload);
-    GVEX_RETURN_NOT_OK(ReadDbRecord(&rec, &db));
-  }
-  std::string tag;
-  size_t m_end = 0;
-  if (!((*in) >> tag >> m_end) || tag != kEndTag || m_end != m) {
-    return Status::IoError("database end marker missing (truncated file?)");
-  }
-  return db;
-}
-
 }  // namespace
 
 Status WriteGraph(const Graph& g, std::ostream* out) {
@@ -128,26 +78,12 @@ Result<Graph> ReadGraph(std::istream* in) {
 
 Status WriteDatabase(const GraphDatabase& db, std::ostream* out) {
   GVEX_FAILPOINT_RETURN("graph_io.write_db");
-  SetMaxPrecision(out);
-  (*out) << kMagicV2 << "\n" << db.size() << "\n";
-  for (size_t i = 0; i < db.size(); ++i) {
-    std::ostringstream rec;
-    SetMaxPrecision(&rec);
-    GVEX_RETURN_NOT_OK(WriteDbRecord(db, i, &rec));
-    GVEX_RETURN_NOT_OK(WriteSection(out, rec.str()));
-  }
-  (*out) << kEndTag << " " << db.size() << "\n";
-  if (!out->good()) return Status::IoError("database stream write failed");
-  return Status::OK();
-}
-
-Status WriteDatabaseV1(const GraphDatabase& db, std::ostream* out) {
-  (*out) << kMagicV1 << "\n" << db.size() << "\n";
-  for (size_t i = 0; i < db.size(); ++i) {
-    GVEX_RETURN_NOT_OK(WriteDbRecord(db, i, out));
-  }
-  if (!out->good()) return Status::IoError("database stream write failed");
-  return Status::OK();
+  return WriteRecordFile(
+      out, kMagic, db.size(), [&](size_t i, std::ostream* rec) {
+        (*rec) << "g " << db.label(i) << " "
+               << (db.name(i).empty() ? "-" : db.name(i)) << "\n";
+        return WriteGraph(db.graph(i), rec);
+      });
 }
 
 Status SaveDatabase(const GraphDatabase& db, const std::string& path) {
@@ -159,11 +95,19 @@ Status SaveDatabase(const GraphDatabase& db, const std::string& path) {
 
 Result<GraphDatabase> ReadDatabase(std::istream* in) {
   GVEX_FAILPOINT_RETURN("graph_io.read_db");
-  std::string magic;
-  if (!((*in) >> magic)) return Status::IoError("bad database magic");
-  if (magic == kMagicV2) return ReadDatabaseV2Body(in);
-  if (magic == kMagicV1) return ReadDatabaseV1Body(in);
-  return Status::IoError("bad database magic");
+  GraphDatabase db;
+  GVEX_RETURN_NOT_OK(ReadRecordFile(
+      in, kMagic, [&](size_t, size_t, std::istream* rec) -> Status {
+        std::string tag, name;
+        ClassLabel label;
+        if (!((*rec) >> tag >> label >> name) || tag != "g") {
+          return Status::IoError("bad graph header");
+        }
+        GVEX_ASSIGN_OR_RETURN(Graph g, ReadGraph(rec));
+        db.Add(std::move(g), label, name == "-" ? "" : name);
+        return Status::OK();
+      }));
+  return db;
 }
 
 Result<GraphDatabase> LoadDatabase(const std::string& path) {

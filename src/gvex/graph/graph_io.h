@@ -1,10 +1,10 @@
 // Plain-text serialization of graphs and graph databases, so generated
 // datasets and explanation views can be saved, inspected, and reloaded.
 //
-// Writers emit the v2 format: a magic/count header, one CRC32-framed
-// section per graph record, and an end marker so truncation is detected.
-// Readers accept both v2 and the legacy v1 stream. Save* goes through
-// write-to-temp + rename (atomic) with retry on transient IO errors.
+// Databases are gvexdb-v2 sealed record files (common/io_util.h): one
+// CRC32-framed section per "g <label> <name>" + graph record, and an end
+// marker so truncation is detected. Save* goes through write-to-temp +
+// rename (atomic) with retry on transient IO errors.
 #pragma once
 
 #include <iosfwd>
@@ -15,19 +15,14 @@
 
 namespace gvex {
 
-/// Write a database in the gvex v2 sectioned format.
 Status WriteDatabase(const GraphDatabase& db, std::ostream* out);
 Status SaveDatabase(const GraphDatabase& db, const std::string& path);
 
-/// Write the legacy v1 stream (migration tooling and compat tests).
-Status WriteDatabaseV1(const GraphDatabase& db, std::ostream* out);
-
-/// Read a database back (v2 or v1, sniffed from the magic).
 Result<GraphDatabase> ReadDatabase(std::istream* in);
 Result<GraphDatabase> LoadDatabase(const std::string& path);
 
 /// Single-graph helpers (used for patterns / explanation subgraphs).
-/// Graphs embedded inside container records keep the v1 record shape;
+/// Graphs embedded inside container records are bare gvexgraph-v1 text;
 /// integrity is provided by the enclosing section's CRC.
 Status WriteGraph(const Graph& g, std::ostream* out);
 Result<Graph> ReadGraph(std::istream* in);

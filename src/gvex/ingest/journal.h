@@ -3,9 +3,9 @@
 // checkpoints, so a kill -9'd server resumes ingest exactly where it
 // stopped.
 //
-// Layout mirrors the explanation checkpoint (explain/checkpoint.h): a
-// magic line followed by CRC32-framed records (io_util.h), tolerant of a
-// torn tail. Two record kinds:
+// The journal is a gvexingest-v1 append-only log (common/io_util.h): a
+// magic line followed by CRC32-framed records, with a torn tail cut off
+// on resume. Two record kinds:
 //
 //   graph <seq> <client_id> <label>\n<gvexgraph-v1 bytes>
 //     — one accepted ingest, journaled *before* it reaches the solver.
@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -29,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "gvex/common/io_util.h"
 #include "gvex/common/result.h"
 #include "gvex/explain/stream_gvex.h"
 #include "gvex/graph/graph.h"
@@ -79,11 +79,9 @@ class IngestJournal {
  private:
   IngestJournal() = default;
 
-  Status AppendLocked(const std::string& record);
-
   mutable std::mutex mu_;
   std::string path_;
-  std::unique_ptr<std::ofstream> out_;
+  AppendLog log_;
   IngestReplay replay_;
 };
 

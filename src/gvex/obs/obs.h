@@ -19,9 +19,8 @@
 // Cost model: with observability enabled (the default) a disarmed span is
 // one relaxed atomic load; a counter add is a load + one sharded relaxed
 // fetch_add. SetEnabled(false) turns counters/histograms into a single
-// load+branch. Compiling with -DGVEX_OBS_DISABLED (CMake option
-// GVEX_OBS_DISABLED) removes every macro body outright. The measured
-// budget is <2% on the bench_micro_kernels hot kernels.
+// load+branch. The measured budget is <2% on the bench_micro_kernels hot
+// kernels.
 #pragma once
 
 #include <atomic>
@@ -246,48 +245,41 @@ Status WriteChromeTrace(const std::string& path);
 #define GVEX_OBS_CONCAT_INNER(a, b) a##b
 #define GVEX_OBS_CONCAT(a, b) GVEX_OBS_CONCAT_INNER(a, b)
 
-#ifdef GVEX_OBS_DISABLED
-
-#define GVEX_SPAN(name) ((void)0)
-#define GVEX_COUNTER_ADD(name, delta) ((void)0)
-#define GVEX_COUNTER_INC(name) ((void)0)
-#define GVEX_HISTOGRAM_RECORD(name, value) ((void)0)
-#define GVEX_LATENCY_US(name) ((void)0)
-
-#else
+// Every macro takes a string-literal name (`name ""` rejects anything
+// else): a site caches its registry entry in a function-local static, so a
+// computed name would bind whichever name the site saw first. Look up
+// per-call names with Registry::Global().GetCounter(name) instead.
 
 /// Trace the enclosing scope as a span named `name` (string literal).
 #define GVEX_SPAN(name) \
-  ::gvex::obs::SpanTimer GVEX_OBS_CONCAT(_gvex_span_, __LINE__)(name)
+  ::gvex::obs::SpanTimer GVEX_OBS_CONCAT(_gvex_span_, __LINE__)(name "")
 
 /// Add `delta` to the named counter. The registry lookup happens once per
 /// call site (cached static reference).
-#define GVEX_COUNTER_ADD(name, delta)                       \
-  do {                                                      \
-    static ::gvex::obs::Counter& _gvex_cnt =                \
-        ::gvex::obs::Registry::Global().GetCounter(name);   \
-    if (::gvex::obs::Enabled())                             \
-      _gvex_cnt.Add(static_cast<uint64_t>(delta));          \
+#define GVEX_COUNTER_ADD(name, delta)                        \
+  do {                                                       \
+    static ::gvex::obs::Counter& _gvex_cnt =                 \
+        ::gvex::obs::Registry::Global().GetCounter(name ""); \
+    if (::gvex::obs::Enabled())                              \
+      _gvex_cnt.Add(static_cast<uint64_t>(delta));           \
   } while (0)
 
 #define GVEX_COUNTER_INC(name) GVEX_COUNTER_ADD(name, 1)
 
 /// Record `value` into the named histogram.
-#define GVEX_HISTOGRAM_RECORD(name, value)                  \
-  do {                                                      \
-    static ::gvex::obs::Histogram& _gvex_hist =             \
-        ::gvex::obs::Registry::Global().GetHistogram(name); \
-    if (::gvex::obs::Enabled())                             \
-      _gvex_hist.Record(static_cast<uint64_t>(value));      \
+#define GVEX_HISTOGRAM_RECORD(name, value)                     \
+  do {                                                         \
+    static ::gvex::obs::Histogram& _gvex_hist =                \
+        ::gvex::obs::Registry::Global().GetHistogram(name ""); \
+    if (::gvex::obs::Enabled())                                \
+      _gvex_hist.Record(static_cast<uint64_t>(value));         \
   } while (0)
 
 /// Record the enclosing scope's duration (us) into the named histogram.
 /// Expands to two declarations: use inside a braced block.
-#define GVEX_LATENCY_US(name)                                         \
-  static ::gvex::obs::Histogram& GVEX_OBS_CONCAT(_gvex_lat_hist_,     \
-                                                 __LINE__) =          \
-      ::gvex::obs::Registry::Global().GetHistogram(name);             \
-  ::gvex::obs::LatencyTimer GVEX_OBS_CONCAT(_gvex_lat_, __LINE__)(    \
+#define GVEX_LATENCY_US(name)                                      \
+  static ::gvex::obs::Histogram& GVEX_OBS_CONCAT(_gvex_lat_hist_,  \
+                                                 __LINE__) =       \
+      ::gvex::obs::Registry::Global().GetHistogram(name "");       \
+  ::gvex::obs::LatencyTimer GVEX_OBS_CONCAT(_gvex_lat_, __LINE__)( \
       &GVEX_OBS_CONCAT(_gvex_lat_hist_, __LINE__))
-
-#endif  // GVEX_OBS_DISABLED

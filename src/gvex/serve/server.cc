@@ -328,7 +328,9 @@ std::future<Response> ExplanationServer::Submit(Request req) {
         load.queued >= quota->second.max_depth) {
       ++load.quota_shed;
       GVEX_COUNTER_INC("serve.quota_shed");
-      GVEX_COUNTER_INC("serve.quota_shed." + route);
+      if (obs::Enabled()) {
+        obs::Registry::Global().GetCounter("serve.quota_shed." + route).Add(1);
+      }
       item->promise.set_value(ErrorResponse(
           item->req,
           Status::QuotaExceeded(

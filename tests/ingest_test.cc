@@ -148,12 +148,22 @@ TEST(IngestJournalTest, TolerantOfTornTail) {
     std::ofstream out(path, std::ios::app);
     out << "sec 9999 deadbe";
   }
-  auto resumed = IngestJournal::Open(path, /*resume=*/true);
-  ASSERT_TRUE(resumed.ok());
-  EXPECT_EQ((*resumed)->replay().graphs.size(), 2u);
-  EXPECT_EQ((*resumed)->replay().next_seq, 3u);
-  // Appends after a torn-tail load still produce loadable records.
-  ASSERT_TRUE((*resumed)->AppendGraph(3, 3, 0, ctx.db.graph(2)).ok());
+  {
+    auto resumed = IngestJournal::Open(path, /*resume=*/true);
+    ASSERT_TRUE(resumed.ok());
+    EXPECT_EQ((*resumed)->replay().graphs.size(), 2u);
+    EXPECT_EQ((*resumed)->replay().next_seq, 3u);
+    // Appends after a torn-tail load still produce loadable records.
+    ASSERT_TRUE((*resumed)->AppendGraph(3, 3, 0, ctx.db.graph(2)).ok());
+  }
+  // The acknowledged post-tear append survives the next resume: the torn
+  // bytes were cut off instead of left in front of it.
+  auto again = IngestJournal::Open(path, /*resume=*/true);
+  ASSERT_TRUE(again.ok());
+  const IngestReplay& replay = (*again)->replay();
+  ASSERT_EQ(replay.graphs.size(), 3u);
+  EXPECT_EQ(replay.graphs[2].seq, 3u);
+  EXPECT_EQ(replay.next_seq, 4u);
   std::remove(path.c_str());
 }
 

@@ -2,7 +2,7 @@
 // truncation point and every single-bit flip of a serialized database /
 // view set / model must either be detected (error Status, never a crash)
 // or be provably benign (the bytes re-serialize identically — e.g. a
-// whitespace flip in the outer frame). Also covers v1 compatibility.
+// whitespace flip in the outer frame). Retired v1 streams are rejected.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -13,6 +13,7 @@
 #include "gvex/cluster/shard_map.h"
 #include "gvex/common/io_util.h"
 #include "gvex/explain/view_io.h"
+#include "gvex/gnn/quantize.h"
 #include "gvex/gnn/serialize.h"
 #include "gvex/graph/graph_io.h"
 
@@ -94,6 +95,14 @@ Result<std::string> RoundTripModel(const std::string& bytes) {
   GVEX_ASSIGN_OR_RETURN(GcnClassifier model, GcnSerializer::Read(&in));
   std::ostringstream out;
   GVEX_RETURN_NOT_OK(GcnSerializer::Write(model, &out));
+  return out.str();
+}
+
+Result<std::string> RoundTripQuantized(const std::string& bytes) {
+  std::istringstream in(bytes);
+  GVEX_ASSIGN_OR_RETURN(QuantizedModel qm, ReadQuantizedModel(&in));
+  std::ostringstream out;
+  GVEX_RETURN_NOT_OK(WriteQuantizedModel(qm, &out));
   return out.str();
 }
 
@@ -190,22 +199,6 @@ TEST(IoCorruptionTest, DatabaseBitFlipsDetected) {
   ExpectBitFlipsDetected(bytes, RoundTripDb);
 }
 
-TEST(IoCorruptionTest, DatabaseV1StillLoads) {
-  GraphDatabase db = SmallDb();
-  std::string v1 =
-      Serialize([&](std::ostream* out) { return WriteDatabaseV1(db, out); });
-  std::istringstream in(v1);
-  auto loaded = ReadDatabase(&in);
-  ASSERT_TRUE(loaded.ok());
-  ASSERT_EQ(loaded->size(), db.size());
-  // The reloaded database serializes to the same v2 bytes as the original.
-  std::string from_v1 = Serialize(
-      [&](std::ostream* out) { return WriteDatabase(*loaded, out); });
-  std::string from_orig =
-      Serialize([&](std::ostream* out) { return WriteDatabase(db, out); });
-  EXPECT_EQ(from_v1, from_orig);
-}
-
 // ---- view sets --------------------------------------------------------------
 
 TEST(IoCorruptionTest, ViewSetV2RoundTrip) {
@@ -229,20 +222,6 @@ TEST(IoCorruptionTest, ViewSetBitFlipsDetected) {
   std::string bytes =
       Serialize([&](std::ostream* out) { return WriteViewSet(set, out); });
   ExpectBitFlipsDetected(bytes, RoundTripViews);
-}
-
-TEST(IoCorruptionTest, ViewSetV1StillLoads) {
-  ExplanationViewSet set = SmallViews();
-  std::string v1 =
-      Serialize([&](std::ostream* out) { return WriteViewSetV1(set, out); });
-  std::istringstream in(v1);
-  auto loaded = ReadViewSet(&in);
-  ASSERT_TRUE(loaded.ok());
-  std::string from_v1 = Serialize(
-      [&](std::ostream* out) { return WriteViewSet(*loaded, out); });
-  std::string from_orig =
-      Serialize([&](std::ostream* out) { return WriteViewSet(set, out); });
-  EXPECT_EQ(from_v1, from_orig);
 }
 
 // ---- models -----------------------------------------------------------------
@@ -270,18 +249,27 @@ TEST(IoCorruptionTest, ModelBitFlipsDetected) {
   ExpectBitFlipsDetected(bytes, RoundTripModel);
 }
 
-TEST(IoCorruptionTest, ModelV1StillLoads) {
-  GcnClassifier model = SmallModel();
-  std::string v1 = Serialize(
-      [&](std::ostream* out) { return GcnSerializer::WriteV1(model, out); });
-  std::istringstream in(v1);
-  auto loaded = GcnSerializer::Read(&in);
-  ASSERT_TRUE(loaded.ok());
-  std::string from_v1 = Serialize(
-      [&](std::ostream* out) { return GcnSerializer::Write(*loaded, out); });
-  std::string from_orig = Serialize(
-      [&](std::ostream* out) { return GcnSerializer::Write(model, out); });
-  EXPECT_EQ(from_v1, from_orig);
+// ---- quantized models (gvexgcnq-v1) -----------------------------------------
+
+std::string SmallQuantizedBytes(WeightPrecision precision) {
+  auto qm = QuantizeModel(SmallModel(), precision);
+  EXPECT_TRUE(qm.ok());
+  return Serialize(
+      [&](std::ostream* out) { return WriteQuantizedModel(*qm, out); });
+}
+
+TEST(IoCorruptionTest, QuantizedModelTruncationDetected) {
+  ExpectTruncationDetected(SmallQuantizedBytes(WeightPrecision::kFp16),
+                           RoundTripQuantized);
+  ExpectTruncationDetected(SmallQuantizedBytes(WeightPrecision::kInt8),
+                           RoundTripQuantized);
+}
+
+TEST(IoCorruptionTest, QuantizedModelBitFlipsDetected) {
+  ExpectBitFlipsDetected(SmallQuantizedBytes(WeightPrecision::kFp16),
+                         RoundTripQuantized);
+  ExpectBitFlipsDetected(SmallQuantizedBytes(WeightPrecision::kInt8),
+                         RoundTripQuantized);
 }
 
 // ---- cluster bundles (gvexbundle-v1) ----------------------------------------
@@ -434,6 +422,15 @@ TEST(IoCorruptionTest, EmptyAndGarbageStreamsAreErrors) {
   {
     std::istringstream in("gvexgcn-v9\n");
     EXPECT_FALSE(GcnSerializer::Read(&in).ok());
+  }
+  // The unframed v1 streams are retired: their magics are bad magics now.
+  {
+    std::istringstream in("gvexdb-v1\n0\n");
+    EXPECT_TRUE(ReadDatabase(&in).status().IsIoError());
+  }
+  {
+    std::istringstream in("gvexviews-v1\n0\n");
+    EXPECT_TRUE(ReadViewSet(&in).status().IsIoError());
   }
 }
 

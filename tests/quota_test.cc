@@ -134,6 +134,44 @@ TEST(RouteQuotaTest, BurstRouteShedsWithoutTouchingDefaultGoodput) {
   server.Stop();
 }
 
+// Each route's sheds land on its own serve.quota_shed.<route> counter,
+// whichever route shed first.
+TEST(RouteQuotaTest, PerRouteShedCountersStayApart) {
+  ViewRegistry registry;  // ping needs no views
+  ServerOptions options;
+  options.num_workers = 1;
+  options.max_queue = 64;
+  options.batch_max = 1;
+  options.route_quotas["shed-a"] = RouteQuota{/*max_depth=*/1,
+                                              /*worker_share=*/0.0};
+  options.route_quotas["shed-b"] = RouteQuota{/*max_depth=*/1,
+                                              /*worker_share=*/0.0};
+  ExplanationServer server(&registry, options);
+  ASSERT_TRUE(server.Start().ok());
+  const uint64_t a_before = CounterValue("serve.quota_shed.shed-a");
+  const uint64_t b_before = CounterValue("serve.quota_shed.shed-b");
+
+  failpoint::ScopedFailpoint slow("serve.exec_delay", "delay(50)");
+  std::vector<std::future<Response>> a, b;
+  for (int i = 0; i < 4; ++i) a.push_back(server.Submit(PingOn("shed-a")));
+  for (int i = 0; i < 8; ++i) b.push_back(server.Submit(PingOn("shed-b")));
+  auto count_shed = [](std::vector<std::future<Response>>* futures) {
+    uint64_t shed = 0;
+    for (auto& f : *futures) {
+      if (f.get().code == StatusCode::kQuotaExceeded) ++shed;
+    }
+    return shed;
+  };
+  const uint64_t shed_a = count_shed(&a);
+  const uint64_t shed_b = count_shed(&b);
+  server.Stop();
+
+  ASSERT_GT(shed_a, 0u);
+  ASSERT_GT(shed_b, 0u);
+  EXPECT_EQ(CounterValue("serve.quota_shed.shed-a") - a_before, shed_a);
+  EXPECT_EQ(CounterValue("serve.quota_shed.shed-b") - b_before, shed_b);
+}
+
 // Worker-share enforcement at dispatch: with 2 workers and a 0.5 share,
 // the quota'd route holds at most one worker, so a default-route request
 // submitted BEHIND two long route requests completes while the second

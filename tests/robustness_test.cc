@@ -318,11 +318,19 @@ TEST(CheckpointTest, TolerantOfTornTail) {
     std::ofstream out(path, std::ios::app);
     out << "sec 9999 deadbe";
   }
-  auto resumed = ExplanationCheckpoint::Open(path, /*resume=*/true);
-  ASSERT_TRUE(resumed.ok());
-  EXPECT_EQ((*resumed)->loaded_count(), 2u);
-  // Appends after a torn-tail load still produce loadable records.
-  ASSERT_TRUE((*resumed)->Append(0, TinySubgraph(2)).ok());
+  {
+    auto resumed = ExplanationCheckpoint::Open(path, /*resume=*/true);
+    ASSERT_TRUE(resumed.ok());
+    EXPECT_EQ((*resumed)->loaded_count(), 2u);
+    // Appends after a torn-tail load still produce loadable records.
+    ASSERT_TRUE((*resumed)->Append(0, TinySubgraph(2)).ok());
+  }
+  // The torn bytes were cut off, so the post-tear record survives the
+  // next resume instead of hiding behind the tear.
+  auto again = ExplanationCheckpoint::Open(path, /*resume=*/true);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ((*again)->loaded_count(), 3u);
+  EXPECT_NE((*again)->Find(0, 2), nullptr);
   std::remove(path.c_str());
 }
 

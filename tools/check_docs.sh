@@ -9,6 +9,9 @@
 #   2. Every StatusCode in status.h maps to an exit-code row in both
 #      README.md and docs/WIRE_PROTOCOL.md (the normative table).
 #   3. Every intra-repo relative markdown link resolves to a file.
+#   4. Every artifact format token (`gvex<name>-v<N>`) named in README.md,
+#      DESIGN.md, EXPERIMENTS.md or docs/*.md is a string literal under
+#      src/, so the docs promise no format the code cannot read.
 #
 # Run from the repo root (ctest sets the working directory); exits
 # non-zero listing every violation, so one run shows all drift.
@@ -69,6 +72,14 @@ for doc in $ALL_DOCS; do
       complain "$doc links to missing file: $target"
     fi
   done < <(grep -oE '\]\([^)]+\)' "$doc" | sed -E 's/^\]\(//; s/\)$//')
+done
+
+echo "== docs-lint: artifact format names vs string literals in src/"
+FORMAT_DOCS=(README.md DESIGN.md EXPERIMENTS.md docs/*.md)
+for token in $(grep -ohE 'gvex[a-z]+-v[0-9]+' "${FORMAT_DOCS[@]}" | sort -u); do
+  if ! grep -rqF "\"$token\"" src; then
+    complain "format $token is documented but no \"$token\" literal is in src/"
+  fi
 done
 
 if [[ "$FAILURES" -gt 0 ]]; then
