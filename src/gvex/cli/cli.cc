@@ -383,9 +383,7 @@ Status CmdServe(const Flags& flags) {
   serve::ViewRegistry registry;
   const std::string route =
       flags.Get("route").value_or(cluster::kDefaultRoute);
-  if (!cluster::IsValidRouteName(route)) {
-    return Status::InvalidArgument("invalid route name: '" + route + "'");
-  }
+  GVEX_RETURN_NOT_OK(cluster::CheckRouteName(route));
   // --exact-fp32 a,b: pin routes to full-precision models. The policy
   // sits in the registry's publish funnel, so wire installs, fetched
   // bundles, and local loads are all covered by the same rejection.
@@ -612,40 +610,15 @@ Result<Graph> LoadGraphFile(const std::string& path) {
 Result<serve::Request> BuildClientRequest(const Flags& flags) {
   GVEX_ASSIGN_OR_RETURN(std::string type_name, flags.Require("type"));
   serve::Request req;
-  if (type_name == "ping") {
-    req.type = serve::RequestType::kPing;
-  } else if (type_name == "support") {
-    req.type = serve::RequestType::kSupport;
-  } else if (type_name == "contains") {
-    req.type = serve::RequestType::kSubgraphsContaining;
-  } else if (type_name == "hits") {
-    req.type = serve::RequestType::kFindHits;
-  } else if (type_name == "discriminative") {
-    req.type = serve::RequestType::kDiscriminativePatterns;
-  } else if (type_name == "classify") {
-    req.type = serve::RequestType::kClassifyExplain;
-  } else if (type_name == "stats") {
-    req.type = serve::RequestType::kStats;
-  } else if (type_name == "shutdown") {
-    req.type = serve::RequestType::kShutdown;
-  } else if (type_name == "generations") {
-    req.type = serve::RequestType::kGenerations;
-  } else if (type_name == "fetch") {
-    req.type = serve::RequestType::kFetch;
-  } else if (type_name == "health") {
-    req.type = serve::RequestType::kHealth;
-  } else if (type_name == "shardinfo") {
-    req.type = serve::RequestType::kShardInfo;
-  } else if (type_name == "coverage") {
-    req.type = serve::RequestType::kCoverageStats;
-  } else if (type_name == "topviews") {
-    req.type = serve::RequestType::kTopViews;
-  } else if (type_name == "ingest") {
-    req.type = serve::RequestType::kIngest;
-  } else if (type_name == "evaluate") {
-    req.type = serve::RequestType::kEvaluate;
-  } else {
-    return Status::InvalidArgument("unknown request type: " + type_name);
+  // Names resolve through the wire-name table; a retired number has no
+  // name, so it cannot be requested.
+  for (size_t i = 0;; ++i) {
+    if (i == serve::kRequestTypeLimit) {
+      return Status::InvalidArgument("unknown request type: " + type_name);
+    }
+    req.type = static_cast<serve::RequestType>(i);
+    const char* name = serve::RequestTypeName(req.type);
+    if (name != nullptr && type_name == name) break;
   }
   if (auto route = flags.Get("route")) req.route = *route;
   req.id = static_cast<uint64_t>(flags.GetInt("id", 1));
@@ -661,7 +634,7 @@ Result<serve::Request> BuildClientRequest(const Flags& flags) {
     return Status::InvalidArgument("unknown semantics: " + semantics);
   }
   if (auto text = flags.Get("text")) req.text = *text;
-  req.top_k = static_cast<uint32_t>(flags.GetInt("top-k", 10));
+  req.top_k = static_cast<uint32_t>(flags.GetInt("top-k", 0));
 
   // Pattern queries carry the pattern as the request graph; classify
   // carries the graph to classify (from a file or a database slot).
@@ -738,20 +711,6 @@ void PrintClientResponse(const serve::Request& req,
       }
       return;
     }
-    case serve::RequestType::kGenerations: {
-      std::printf("routes %zu\n", resp.routes.size());
-      for (const serve::RouteInfo& r : resp.routes) {
-        std::printf("  %s generation %llu source %llu fingerprint %s "
-                    "warmed %d warm_pairs %llu\n",
-                    r.route.c_str(),
-                    static_cast<unsigned long long>(r.generation),
-                    static_cast<unsigned long long>(r.source_generation),
-                    r.fingerprint.empty() ? "-" : r.fingerprint.c_str(),
-                    r.warmed ? 1 : 0,
-                    static_cast<unsigned long long>(r.warm_pairs));
-      }
-      return;
-    }
     case serve::RequestType::kFetch: {
       std::printf("bundle %zu bytes", resp.bundle.size());
       for (const serve::RouteInfo& r : resp.routes) {
@@ -786,11 +745,20 @@ void PrintClientResponse(const serve::Request& req,
                   static_cast<unsigned long long>(h.replication_lag_polls),
                   h.replication_error.empty() ? "" : " error ",
                   h.replication_error.c_str());
+      std::printf("routes %zu\n", resp.routes.size());
+      for (const serve::RouteInfo& r : resp.routes) {
+        std::printf("  %s generation %llu source %llu fingerprint %s "
+                    "warmed %d warm_pairs %llu\n",
+                    r.route.c_str(),
+                    static_cast<unsigned long long>(r.generation),
+                    static_cast<unsigned long long>(r.source_generation),
+                    r.fingerprint.empty() ? "-" : r.fingerprint.c_str(),
+                    r.warmed ? 1 : 0,
+                    static_cast<unsigned long long>(r.warm_pairs));
+      }
       return;
     }
-    case serve::RequestType::kShardInfo:
-    case serve::RequestType::kCoverageStats:
-    case serve::RequestType::kTopViews: {
+    case serve::RequestType::kCoverageStats: {
       // Explainability prints with fixed precision so a scatter-gathered
       // answer diffs byte-for-byte against a single union server's
       // (per-shard summation agrees well past six decimals).
@@ -803,13 +771,11 @@ void PrintClientResponse(const serve::Request& req,
                     static_cast<unsigned long long>(c.nodes),
                     static_cast<unsigned long long>(c.edges),
                     c.explainability);
-        if (req.type == serve::RequestType::kShardInfo) {
-          std::printf("    graphs %zu:", c.graph_indices.size());
-          for (uint64_t gi : c.graph_indices) {
-            std::printf(" %llu", static_cast<unsigned long long>(gi));
-          }
-          std::printf("\n");
+        std::printf("    graphs %zu:", c.graph_indices.size());
+        for (uint64_t gi : c.graph_indices) {
+          std::printf(" %llu", static_cast<unsigned long long>(gi));
         }
+        std::printf("\n");
       }
       return;
     }

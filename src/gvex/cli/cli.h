@@ -32,14 +32,13 @@
 //   gvex_tool client  (--socket PATH | --port N | --local views.txt
 //                      [--model model.txt] | --shard-map map.bin)
 //                     --type ping|support|contains|hits|discriminative|
-//                            classify|stats|generations|health|fetch|
-//                            shutdown|shardinfo|coverage|topviews|ingest|
-//                            evaluate
+//                            classify|stats|health|fetch|shutdown|
+//                            coverage|ingest|evaluate
 //                     [--label L --against L2 --pattern p.txt
 //                      --graph g.txt | --graph-db db.txt --graph-index I
 //                      --semantics subgraph|induced --max-embeddings 64
 //                      --deadline-ms MS --text STR --route NAME
-//                      --retry N --retry-backoff-ms MS --top-k 10
+//                      --retry N --retry-backoff-ms MS --top-k 0
 //                      --hedge-ms MS --shard-deadline-ms MS]
 //   gvex_tool publish --views views.txt [--model model.txt] [--route NAME]
 //                     [--quantize fp16|int8]

@@ -76,16 +76,19 @@ bool IsValidRouteName(const std::string& route) {
   return true;
 }
 
+Status CheckRouteName(const std::string& route) {
+  if (IsValidRouteName(route)) return Status::OK();
+  return Status::InvalidArgument("invalid route name: '" + route +
+                                 "' (want 1..64 chars of [A-Za-z0-9_.-])");
+}
+
 Result<std::string> BundleFingerprint(const ViewBundle& bundle) {
   GVEX_ASSIGN_OR_RETURN(SerializedContent content, SerializeContent(bundle));
   return FingerprintOf(content.views, content.model);
 }
 
 Status WriteBundle(const ViewBundle& bundle, std::ostream* out) {
-  if (!IsValidRouteName(bundle.route)) {
-    return Status::InvalidArgument("invalid route name: '" + bundle.route +
-                                   "' (want 1..64 chars of [A-Za-z0-9_.-])");
-  }
+  GVEX_RETURN_NOT_OK(CheckRouteName(bundle.route));
   const bool quantized = bundle.qmodel != nullptr;
   const bool has_model = quantized || bundle.model != nullptr;
   GVEX_ASSIGN_OR_RETURN(SerializedContent content, SerializeContent(bundle));

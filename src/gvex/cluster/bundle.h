@@ -51,6 +51,9 @@ inline constexpr const char kDefaultRoute[] = "default";
 /// Routes are wire-inline words: 1..64 chars out of [A-Za-z0-9_.-].
 bool IsValidRouteName(const std::string& route);
 
+/// InvalidArgument naming `route` and the rule when !IsValidRouteName.
+Status CheckRouteName(const std::string& route);
+
 /// \brief One shippable view generation.
 struct ViewBundle {
   std::string route = kDefaultRoute;

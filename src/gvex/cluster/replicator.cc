@@ -108,7 +108,7 @@ Status Replicator::DoSync() {
     GVEX_RETURN_NOT_OK(client_.Connect(options_.primary));
   }
   serve::Request poll;
-  poll.type = serve::RequestType::kGenerations;
+  poll.type = serve::RequestType::kHealth;
   poll.id = next_id_++;
   GVEX_ASSIGN_OR_RETURN(serve::Response table, client_.Call(poll));
   GVEX_RETURN_NOT_OK(table.ToStatus());

@@ -3,8 +3,10 @@
 // A standby (`gvex serve --follow <primary>`) runs one Replicator next
 // to its own ExplanationServer. The loop is poll + fetch:
 //
-//   1. kGenerations: ask the primary for its per-route
-//      generation/fingerprint table.
+//   1. kHealth: ask the primary for its per-route generation/fingerprint
+//      table. Health is answered inline, never queued, so a primary whose
+//      admission queue is full still answers the poll — overload is not
+//      mistaken for lag.
 //   2. For every route whose *fingerprint* differs from the local one
 //      (never the generation counter — a restarted primary restarts its
 //      counters but re-derives identical fingerprints from identical

@@ -12,39 +12,52 @@ namespace gvex {
 namespace cluster {
 
 namespace serve = gvex::serve;
+using serve::ErrorResponse;
+using serve::IsPatternQuery;
 using serve::Request;
 using serve::RequestType;
 using serve::Response;
+using serve::RouteOf;
 using serve::ViewCoverage;
 
 namespace {
 
-bool IsPatternQuery(RequestType type) {
-  return type == RequestType::kSupport ||
-         type == RequestType::kSubgraphsContaining ||
-         type == RequestType::kFindHits;
-}
-
 bool IsScatterQuery(RequestType type) {
   return IsPatternQuery(type) ||
          type == RequestType::kDiscriminativePatterns ||
-         type == RequestType::kShardInfo ||
          type == RequestType::kCoverageStats ||
-         type == RequestType::kTopViews ||
-         type == RequestType::kGenerations ||
          type == RequestType::kHealth;
 }
 
-std::string RouteOf(const Request& req) {
-  return req.route.empty() ? kDefaultRoute : req.route;
-}
-
-Response ErrorResponse(const Request& req, const Status& status) {
-  Response resp;
-  resp.id = req.id;
-  resp.code = status.code();
-  resp.message = status.message();
-  return resp;
+/// Sum the answered legs' coverage rows per label: counts add, the
+/// replicated pattern tier takes the max, and covered graph ids merge
+/// into one ascending list — the order a union server's tier carries
+/// (the explain pipeline sorts subgraph tiers by graph index). Rows come
+/// back in label order.
+std::vector<ViewCoverage> MergeCoverage(
+    const std::vector<Result<Response>>& legs,
+    const std::vector<size_t>& answered) {
+  std::map<ClassLabel, ViewCoverage> merged;
+  for (size_t i : answered) {
+    for (const ViewCoverage& row : legs[i]->coverage) {
+      ViewCoverage& m = merged[row.label];
+      m.label = row.label;
+      m.patterns = std::max(m.patterns, row.patterns);
+      m.subgraphs += row.subgraphs;
+      m.nodes += row.nodes;
+      m.edges += row.edges;
+      m.explainability += row.explainability;
+      m.graph_indices.insert(m.graph_indices.end(), row.graph_indices.begin(),
+                             row.graph_indices.end());
+    }
+  }
+  std::vector<ViewCoverage> rows;
+  rows.reserve(merged.size());
+  for (auto& [label, row] : merged) {
+    std::sort(row.graph_indices.begin(), row.graph_indices.end());
+    rows.push_back(std::move(row));
+  }
+  return rows;
 }
 
 /// A leg answered usably when the transport succeeded; a server-side
@@ -110,19 +123,28 @@ Result<Response> LocalShardChannel::CallStandby(const Request& req) {
 
 // ---- router -----------------------------------------------------------------
 
-/// Per-route translation table built from a full kShardInfo scatter.
+/// Per-route translation table built from a full coverage scatter.
 /// `global[label]` is the corpus-wide covered-graph list in ascending
-/// graph-index order — the same order a union server's view.subgraphs
-/// carries (the explain pipeline sorts subgraph tiers by graph index) —
-/// and `shard_to_global[shard]` maps each shard-local subgraph position
-/// to its corpus-global rank.
+/// graph-index order (MergeCoverage), and `shard_to_global[shard]` maps
+/// each shard-local subgraph position to its corpus-global rank.
 struct ShardRouter::RouteIndex {
   struct LabelIndex {
     std::vector<uint64_t> global;
     std::vector<std::vector<uint64_t>> shard_to_global;
   };
   std::map<ClassLabel, LabelIndex> labels;
-  std::vector<ViewCoverage> merged;  ///< fleet-wide kShardInfo rows
+
+  /// Corpus-global rank of subgraph position `idx` in `shard`'s slice of
+  /// view(`label`).
+  Result<uint64_t> ToGlobal(ClassLabel label, size_t shard,
+                            uint64_t idx) const {
+    auto it = labels.find(label);
+    if (it == labels.end() || idx >= it->second.shard_to_global[shard].size()) {
+      return Status::Internal(
+          "stale shard-info table (republished views? restart the frontend)");
+    }
+    return it->second.shard_to_global[shard][idx];
+  }
 };
 
 ShardRouter::ShardRouter(ShardMap map,
@@ -300,17 +322,7 @@ Result<Response> ShardRouter::HedgedCall(size_t shard, Request req) {
   }
 }
 
-Result<std::shared_ptr<const ShardRouter::RouteIndex>>
-ShardRouter::ShardInfoFor(const std::string& route) {
-  {
-    std::lock_guard<std::mutex> lock(info_mu_);
-    auto it = route_info_.find(route);
-    if (it != route_info_.end()) return it->second;
-  }
-  Request req;
-  req.type = RequestType::kShardInfo;
-  req.route = route;
-
+std::vector<Result<Response>> ShardRouter::FanOut(const Request& req) {
   const size_t n = channels_.size();
   std::vector<Result<Response>> legs(n, Result<Response>(Status::Internal("pending")));
   std::vector<std::thread> threads;
@@ -319,52 +331,56 @@ ShardRouter::ShardInfoFor(const std::string& route) {
     threads.emplace_back([this, i, &legs, &req] { legs[i] = HedgedCall(i, req); });
   }
   for (std::thread& t : threads) t.join();
+  return legs;
+}
 
-  auto index = std::make_shared<RouteIndex>();
-  // Shard-local covered-graph lists, per label, in subgraph order.
-  std::map<ClassLabel, std::vector<std::vector<uint64_t>>> local;
-  std::map<ClassLabel, ViewCoverage> merged;
+Result<std::shared_ptr<const ShardRouter::RouteIndex>>
+ShardRouter::ShardInfoFor(const std::string& route) {
+  {
+    std::lock_guard<std::mutex> lock(info_mu_);
+    auto it = route_info_.find(route);
+    if (it != route_info_.end()) return it->second;
+  }
+  Request req;
+  req.type = RequestType::kCoverageStats;
+  req.route = route;
+  const std::vector<Result<Response>> legs = FanOut(req);
+
+  const size_t n = legs.size();
+  std::vector<size_t> all(n);
+  // Complete-or-error: a translation over a partial table could be wrong.
+  auto failed = [](const std::string& why) {
+    return Status::FailedPrecondition(
+        "cannot globalize subgraph positions (shard-info scatter failed: " +
+        why + ")");
+  };
   for (size_t i = 0; i < n; ++i) {
     if (!LegUsable(legs[i])) {
-      return Status(legs[i].status().code(),
-                    "shard '" + map_.shards()[i].name +
-                        "' unavailable while building the shard-info table: " +
-                        legs[i].status().message());
+      return failed("shard '" + map_.shards()[i].name +
+                    "' unavailable while building the shard-info table: " +
+                    legs[i].status().message());
     }
-    if (!legs[i]->ok()) return legs[i]->ToStatus();
-    for (const ViewCoverage& row : legs[i]->coverage) {
-      auto& per_shard = local[row.label];
-      per_shard.resize(n);
-      per_shard[i] = row.graph_indices;
-      ViewCoverage& m = merged[row.label];
-      m.label = row.label;
-      m.patterns = std::max(m.patterns, row.patterns);
-      m.subgraphs += row.subgraphs;
-      m.nodes += row.nodes;
-      m.edges += row.edges;
-      m.explainability += row.explainability;
-    }
+    if (!legs[i]->ok()) return failed(legs[i]->message);
+    all[i] = i;
   }
-  for (auto& [label, per_shard] : local) {
-    per_shard.resize(n);
-    RouteIndex::LabelIndex& li = index->labels[label];
-    for (const auto& ids : per_shard) {
-      li.global.insert(li.global.end(), ids.begin(), ids.end());
-    }
-    std::sort(li.global.begin(), li.global.end());
+  auto index = std::make_shared<RouteIndex>();
+  for (ViewCoverage& row : MergeCoverage(legs, all)) {
+    RouteIndex::LabelIndex& li = index->labels[row.label];
+    li.global = std::move(row.graph_indices);
     li.shard_to_global.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      li.shard_to_global[i].reserve(per_shard[i].size());
-      for (uint64_t gi : per_shard[i]) {
+  }
+  for (size_t i = 0; i < n; ++i) {
+    for (const ViewCoverage& row : legs[i]->coverage) {
+      RouteIndex::LabelIndex& li = index->labels[row.label];
+      li.shard_to_global[i].reserve(row.graph_indices.size());
+      for (uint64_t gi : row.graph_indices) {
         const auto at =
             std::lower_bound(li.global.begin(), li.global.end(), gi);
         li.shard_to_global[i].push_back(
             static_cast<uint64_t>(at - li.global.begin()));
       }
     }
-    merged[label].graph_indices = li.global;
   }
-  for (auto& [label, row] : merged) index->merged.push_back(std::move(row));
 
   std::lock_guard<std::mutex> lock(info_mu_);
   auto [it, inserted] = route_info_.emplace(route, std::move(index));
@@ -384,22 +400,11 @@ Response ShardRouter::PointQuery(const Request& req, size_t shard) {
     // The shard answered with slice-local subgraph positions; translate
     // to the corpus-global ranks a union server would report.
     auto info = ShardInfoFor(RouteOf(req));
-    if (!info.ok()) {
-      return ErrorResponse(
-          req, Status::FailedPrecondition(
-                   "cannot globalize subgraph positions (shard-info scatter "
-                   "failed: " +
-                   info.status().message() + ")"));
-    }
-    auto label_it = (*info)->labels.find(req.label);
+    if (!info.ok()) return ErrorResponse(req, info.status());
     for (uint64_t& idx : resp.indices) {
-      if (label_it == (*info)->labels.end() ||
-          idx >= label_it->second.shard_to_global[shard].size()) {
-        return ErrorResponse(req, Status::Internal(
-                                      "stale shard-info table (republished "
-                                      "views? restart the frontend)"));
-      }
-      idx = label_it->second.shard_to_global[shard][idx];
+      Result<uint64_t> global = (*info)->ToGlobal(req.label, shard, idx);
+      if (!global.ok()) return ErrorResponse(req, global.status());
+      idx = *global;
     }
   }
   return resp;
@@ -412,37 +417,22 @@ Response ShardRouter::Scatter(const Request& req) {
   }
   GVEX_COUNTER_INC("router.scatter_queries");
 
-  // Top-k needs the full per-label rows to rank globally, so the fan-out
-  // request is a coverage scatter and the ranking happens at the merge.
+  // Ranking needs every shard's full per-label rows, so the fan-out
+  // asks for all of them and the cap applies at the merge.
   Request sub = req;
-  if (req.type == RequestType::kTopViews) {
-    sub.type = RequestType::kCoverageStats;
-  }
+  sub.top_k = 0;
 
   // Contains answers need the translation table; build it before the
   // scatter so a shard death mid-query cannot leave a half-built table.
   std::shared_ptr<const RouteIndex> index;
   if (req.type == RequestType::kSubgraphsContaining) {
     auto info = ShardInfoFor(RouteOf(req));
-    if (!info.ok()) {
-      return ErrorResponse(
-          req, Status::FailedPrecondition(
-                   "cannot globalize subgraph positions (shard-info scatter "
-                   "failed: " +
-                   info.status().message() + ")"));
-    }
+    if (!info.ok()) return ErrorResponse(req, info.status());
     index = *info;
   }
 
-  const size_t n = channels_.size();
-  std::vector<Result<Response>> legs(n, Result<Response>(Status::Internal("pending")));
-  std::vector<std::thread> threads;
-  threads.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    threads.emplace_back([this, i, &legs, &sub] { legs[i] = HedgedCall(i, sub); });
-  }
-  for (std::thread& t : threads) t.join();
-
+  const std::vector<Result<Response>> legs = FanOut(sub);
+  const size_t n = legs.size();
   std::vector<size_t> answered;
   std::vector<std::string> missing;
   Status first_error;
@@ -482,17 +472,11 @@ Response ShardRouter::Scatter(const Request& req) {
       break;
     }
     case RequestType::kSubgraphsContaining: {
-      auto label_it = index->labels.find(req.label);
       for (size_t i : answered) {
         for (uint64_t idx : legs[i]->indices) {
-          if (label_it == index->labels.end() ||
-              idx >= label_it->second.shard_to_global[i].size()) {
-            return ErrorResponse(req, Status::Internal(
-                                          "stale shard-info table "
-                                          "(republished views? restart the "
-                                          "frontend)"));
-          }
-          resp.indices.push_back(label_it->second.shard_to_global[i][idx]);
+          Result<uint64_t> global = index->ToGlobal(req.label, i, idx);
+          if (!global.ok()) return ErrorResponse(req, global.status());
+          resp.indices.push_back(*global);
         }
       }
       std::sort(resp.indices.begin(), resp.indices.end());
@@ -526,47 +510,10 @@ Response ShardRouter::Scatter(const Request& req) {
       resp.indices = std::move(positions);
       break;
     }
-    case RequestType::kShardInfo:
     case RequestType::kCoverageStats:
-    case RequestType::kTopViews: {
-      std::map<ClassLabel, ViewCoverage> merged;
-      for (size_t i : answered) {
-        for (const ViewCoverage& row : legs[i]->coverage) {
-          ViewCoverage& m = merged[row.label];
-          m.label = row.label;
-          m.patterns = std::max(m.patterns, row.patterns);
-          m.subgraphs += row.subgraphs;
-          m.nodes += row.nodes;
-          m.edges += row.edges;
-          m.explainability += row.explainability;
-          m.graph_indices.insert(m.graph_indices.end(),
-                                 row.graph_indices.begin(),
-                                 row.graph_indices.end());
-        }
-      }
-      for (auto& [label, row] : merged) {
-        std::sort(row.graph_indices.begin(), row.graph_indices.end());
-        resp.coverage.push_back(std::move(row));
-      }
-      if (req.type == RequestType::kTopViews) {
-        std::sort(resp.coverage.begin(), resp.coverage.end(),
-                  [](const ViewCoverage& a, const ViewCoverage& b) {
-                    if (a.explainability != b.explainability) {
-                      return a.explainability > b.explainability;
-                    }
-                    return a.label < b.label;
-                  });
-        if (resp.coverage.size() > req.top_k) resp.coverage.resize(req.top_k);
-      }
+      resp.coverage = MergeCoverage(legs, answered);
+      serve::RankCoverage(&resp.coverage, req.top_k);
       break;
-    }
-    case RequestType::kGenerations: {
-      for (size_t i : answered) {
-        resp.routes.insert(resp.routes.end(), legs[i]->routes.begin(),
-                           legs[i]->routes.end());
-      }
-      break;
-    }
     case RequestType::kHealth: {
       resp.has_health = true;
       resp.health.serving = !answered.empty() && missing.empty();
@@ -630,10 +577,8 @@ Response ShardRouter::Call(const Request& req) {
     default:
       break;
   }
-  if (!req.route.empty() && !IsValidRouteName(req.route)) {
-    return ErrorResponse(
-        req, Status::InvalidArgument("invalid route name: '" + req.route +
-                                     "' (want 1..64 chars of [A-Za-z0-9_.-])"));
+  if (Status route = serve::ValidateRoute(req); !route.ok()) {
+    return ErrorResponse(req, route);
   }
   if (req.type == RequestType::kClassifyExplain) {
     // Pattern tiers and models are replicated, so any shard answers

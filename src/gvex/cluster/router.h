@@ -10,10 +10,11 @@
 //   * Corpus-wide queries scatter to every shard and the router merges:
 //     support sums; hits merge ascending by graph index; contains
 //     translates shard-local subgraph positions to corpus-global ranks
-//     via a cached per-route shard-info table (kShardInfo);
+//     via a cached per-route shard-info table built from the covered
+//     graph ids of one complete coverage scatter;
 //     discriminative intersects pattern-tier position sets (a pattern
 //     discriminates globally iff it discriminates on every shard);
-//     coverage rows sum per label.
+//     coverage rows sum per label, then rank and cap like one server.
 //
 // Tail-latency control follows the tail-at-scale recipe: when a shard
 // has a standby (the PR 5 replication follower), the router hedges — if
@@ -141,6 +142,8 @@ class ShardRouter {
 
   serve::Response PointQuery(const serve::Request& req, size_t shard);
   serve::Response Scatter(const serve::Request& req);
+  /// Send `req` to every shard at once, one hedged leg per shard.
+  std::vector<Result<serve::Response>> FanOut(const serve::Request& req);
   Result<serve::Response> HedgedCall(size_t shard, serve::Request req);
   Result<std::shared_ptr<const RouteIndex>> ShardInfoFor(
       const std::string& route);

@@ -15,13 +15,7 @@ namespace ingest {
 
 namespace {
 
-serve::Response MakeError(uint64_t id, const Status& status) {
-  serve::Response resp;
-  resp.id = id;
-  resp.code = status.code();
-  resp.message = status.message();
-  return resp;
-}
+using serve::ErrorResponse;
 
 uint64_t DriftBasisPoints(double drift) {
   return static_cast<uint64_t>(std::lround(std::max(0.0, drift) * 10000.0));
@@ -89,8 +83,8 @@ void IngestManager::Stop() {
   started_ = false;
   // Fail whatever the worker left behind rather than hanging clients.
   for (auto& item : queue_) {
-    item->promise.set_value(MakeError(
-        item->req.id, Status::FailedPrecondition("ingest stopped")));
+    item->promise.set_value(
+        ErrorResponse(item->req, Status::FailedPrecondition("ingest stopped")));
   }
   queue_.clear();
 }
@@ -162,15 +156,15 @@ std::future<serve::Response> IngestManager::Submit(serve::Request req) {
     } else if (item->req.text == "status") {
       item->kind = Item::Kind::kStatus;
     } else {
-      item->promise.set_value(MakeError(
-          item->req.id,
+      item->promise.set_value(ErrorResponse(
+          item->req,
           Status::InvalidArgument(
               "ingest needs a graph, or text 'publish'/'status'")));
       return future;
     }
   } else if (item->req.label < 0) {
-    item->promise.set_value(MakeError(
-        item->req.id, Status::InvalidArgument("ingest requires a label")));
+    item->promise.set_value(ErrorResponse(
+        item->req, Status::InvalidArgument("ingest requires a label")));
     return future;
   }
   if (item->req.deadline_ms > 0) {
@@ -181,8 +175,8 @@ std::future<serve::Response> IngestManager::Submit(serve::Request req) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (!started_ || stopping_) {
-      item->promise.set_value(MakeError(
-          item->req.id, Status::FailedPrecondition("ingest not running")));
+      item->promise.set_value(ErrorResponse(
+          item->req, Status::FailedPrecondition("ingest not running")));
       return future;
     }
     // Control verbs bypass the bound: they carry no payload and must not
@@ -190,8 +184,8 @@ std::future<serve::Response> IngestManager::Submit(serve::Request req) {
     if (item->kind == Item::Kind::kGraph &&
         queue_.size() >= options_.max_pending) {
       GVEX_COUNTER_INC("ingest.shed");
-      item->promise.set_value(MakeError(
-          item->req.id,
+      item->promise.set_value(ErrorResponse(
+          item->req,
           Status::Overloaded("ingest queue full (" +
                              std::to_string(options_.max_pending) + ")")));
       return future;
@@ -216,8 +210,8 @@ void IngestManager::WorkerLoop() {
     if (item->has_deadline &&
         std::chrono::steady_clock::now() >= item->deadline) {
       GVEX_COUNTER_INC("ingest.deadline_miss");
-      item->promise.set_value(MakeError(
-          item->req.id, Status::Timeout("ingest deadline expired in queue")));
+      item->promise.set_value(ErrorResponse(
+          item->req, Status::Timeout("ingest deadline expired in queue")));
       continue;
     }
     GVEX_FAILPOINT_NOTIFY("ingest.feed");
@@ -288,7 +282,7 @@ serve::Response IngestManager::ProcessGraph(const serve::Request& req) {
       GVEX_COUNTER_INC("ingest.errors");
       std::lock_guard<std::mutex> lock(mu_);
       ++errors_;
-      return MakeError(req.id, st);
+      return ErrorResponse(req, st);
     }
   }
   // The graph is durable: consume the sequence number and the dedup key
@@ -356,7 +350,7 @@ serve::Response IngestManager::ProcessGraph(const serve::Request& req) {
     GVEX_COUNTER_INC("ingest.errors");
     std::lock_guard<std::mutex> lock(mu_);
     ++errors_;
-    return MakeError(req.id, st);
+    return ErrorResponse(req, st);
   }
   resp.support = seq;
   std::ostringstream text;
@@ -448,7 +442,7 @@ serve::Response IngestManager::ProcessPublish(const serve::Request& req) {
   Result<uint64_t> gen = Publish();
   if (!gen.ok()) {
     GVEX_COUNTER_INC("ingest.publish_failures");
-    return MakeError(req.id, gen.status());
+    return ErrorResponse(req, gen.status());
   }
   resp.support = *gen;
   resp.text = "published generation=" + std::to_string(*gen) +

@@ -1,7 +1,10 @@
 #include "gvex/serve/protocol.h"
 
+#include <algorithm>
+#include <iterator>
 #include <sstream>
 
+#include "gvex/cluster/bundle.h"
 #include "gvex/common/checksum.h"
 #include "gvex/common/io_util.h"
 #include "gvex/graph/graph_io.h"
@@ -60,26 +63,48 @@ Status ReadField(std::istream* in, const char* key, T* out) {
 }  // namespace
 
 const char* RequestTypeName(RequestType type) {
-  switch (type) {
-    case RequestType::kPing: return "ping";
-    case RequestType::kSupport: return "support";
-    case RequestType::kSubgraphsContaining: return "contains";
-    case RequestType::kFindHits: return "hits";
-    case RequestType::kDiscriminativePatterns: return "discriminative";
-    case RequestType::kClassifyExplain: return "classify";
-    case RequestType::kStats: return "stats";
-    case RequestType::kShutdown: return "shutdown";
-    case RequestType::kInstall: return "install";
-    case RequestType::kGenerations: return "generations";
-    case RequestType::kFetch: return "fetch";
-    case RequestType::kHealth: return "health";
-    case RequestType::kShardInfo: return "shardinfo";
-    case RequestType::kCoverageStats: return "coverage";
-    case RequestType::kTopViews: return "topviews";
-    case RequestType::kIngest: return "ingest";
-    case RequestType::kEvaluate: return "evaluate";
-  }
-  return "unknown";
+  // Indexed by RequestType value; nullptr marks a retired number.
+  static constexpr const char* kNames[] = {
+      "ping", "support", "contains", "hits", "discriminative", "classify",
+      "stats", "shutdown", "install", /*9*/ nullptr, "fetch", "health",
+      /*12*/ nullptr, "coverage", /*14*/ nullptr, "ingest", "evaluate"};
+  static_assert(std::size(kNames) == kRequestTypeLimit);
+  const size_t i = static_cast<size_t>(type);
+  return i < kRequestTypeLimit ? kNames[i] : nullptr;
+}
+
+Response ErrorResponse(const Request& req, const Status& status) {
+  Response resp;
+  resp.id = req.id;
+  resp.code = status.code();
+  resp.message = status.message();
+  return resp;
+}
+
+const std::string& RouteOf(const Request& req) {
+  static const std::string kDefault = cluster::kDefaultRoute;
+  return req.route.empty() ? kDefault : req.route;
+}
+
+bool IsPatternQuery(RequestType type) {
+  return type == RequestType::kSupport ||
+         type == RequestType::kSubgraphsContaining ||
+         type == RequestType::kFindHits;
+}
+
+Status ValidateRoute(const Request& req) {
+  return req.route.empty() ? Status::OK() : cluster::CheckRouteName(req.route);
+}
+
+void RankCoverage(std::vector<ViewCoverage>* rows, uint32_t top_k) {
+  std::sort(rows->begin(), rows->end(),
+            [](const ViewCoverage& a, const ViewCoverage& b) {
+              if (a.explainability != b.explainability) {
+                return a.explainability > b.explainability;
+              }
+              return a.label < b.label;
+            });
+  if (top_k != 0 && rows->size() > top_k) rows->resize(top_k);
 }
 
 std::string EncodeRequestBody(const Request& req) {
@@ -114,7 +139,8 @@ Result<Request> DecodeRequestBody(const std::string& body) {
   Request req;
   int type = 0, semantics = 0, has_graph = 0;
   GVEX_RETURN_NOT_OK(ReadField(&in, "type", &type));
-  if (type < 0 || type > static_cast<int>(RequestType::kEvaluate)) {
+  if (type < 0 || type >= static_cast<int>(kRequestTypeLimit) ||
+      RequestTypeName(static_cast<RequestType>(type)) == nullptr) {
     return Status::InvalidArgument("unknown request type " +
                                    std::to_string(type));
   }

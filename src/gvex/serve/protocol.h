@@ -18,6 +18,7 @@
 // Full field reference: docs/SERVING.md.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -34,6 +35,8 @@ namespace serve {
 inline constexpr uint32_t kMaxFrameBytes = 64u << 20;
 
 /// The five paper-level query endpoints plus admin and cluster verbs.
+/// Numbers 9, 12 and 14 are retired: the decoder rejects them and they
+/// are never reused.
 enum class RequestType : uint8_t {
   kPing = 0,                   ///< liveness; echoes `text`
   kSupport = 1,                ///< |subgraphs of view(label) containing pattern|
@@ -44,15 +47,16 @@ enum class RequestType : uint8_t {
   kStats = 6,                  ///< server/obs snapshot as JSON text
   kShutdown = 7,               ///< stop the socket server (drains in-flight work)
   kInstall = 8,                ///< install the gvexbundle-v1 in `bundle` (publish)
-  kGenerations = 9,            ///< list per-route generation/fingerprint state
   kFetch = 10,                 ///< fetch the live generation of `route` as a bundle
-  kHealth = 11,                ///< health probe (HealthInfo); never queued
-  // Shard / scatter-gather verbs (docs/WIRE_PROTOCOL.md). A plain server
-  // answers them from its local registry; the ShardRouter scatters them
-  // across a fleet and merges (gvex/cluster/router.h).
-  kShardInfo = 12,             ///< per-route, per-label covered graph ids
-  kCoverageStats = 13,         ///< per-label coverage summary for `route`
-  kTopViews = 14,              ///< top `top_k` labels by explainability
+  /// Health probe (HealthInfo) plus the per-route generation/fingerprint
+  /// table a standby polls; never queued.
+  kHealth = 11,
+  /// Per-label coverage rows for `route`, covered graph ids included,
+  /// ranked by explainability (ties: label ascending) and capped at
+  /// `top_k` rows. A plain server answers from its local registry; the
+  /// ShardRouter scatters across a fleet and merges
+  /// (gvex/cluster/router.h).
+  kCoverageStats = 13,
   /// Live ingest (gvex/ingest): feed `graph` to the resident StreamGVEX
   /// solver for `label`. Never rides the shared query queue — the server
   /// hands it to the dedicated ingest worker at admission time. Without a
@@ -69,6 +73,12 @@ enum class RequestType : uint8_t {
   kEvaluate = 16,
 };
 
+/// One past the highest request type number ever assigned.
+inline constexpr size_t kRequestTypeLimit = 17;
+
+/// The wire name of `type` ("support", "coverage", ...) — what `client
+/// --type` accepts and what `serve.exec_<name>_us` is keyed by. nullptr
+/// for a retired or out-of-range number.
 const char* RequestTypeName(RequestType type);
 
 /// \brief One explanation query.
@@ -88,7 +98,7 @@ struct Request {
   /// of this corpus graph (-1 = whole view). The ShardRouter uses it to
   /// route a point query to the owning shard.
   int64_t graph_index = -1;
-  uint32_t top_k = 10;         ///< kTopViews result cap
+  uint32_t top_k = 0;          ///< kCoverageStats row cap (0 = all rows)
   bool has_graph = false;
   Graph graph;
   std::string text;            ///< kPing payload
@@ -140,13 +150,12 @@ struct HealthInfo {
   bool operator==(const HealthInfo&) const = default;
 };
 
-/// \brief Per-label coverage summary as reported by kCoverageStats /
-/// kTopViews / kShardInfo. Counts are local to the answering server;
-/// for a shard they describe its slice, and the ShardRouter merges rows
-/// by summation (pattern tiers are replicated, not summed). Covered
-/// graph ids ride only on kShardInfo — they are the router's
-/// translation table from shard-local subgraph indices to corpus-global
-/// ones.
+/// \brief Per-label coverage summary as reported by kCoverageStats.
+/// Counts are local to the answering server; for a shard they describe
+/// its slice, and the ShardRouter merges rows by summation (pattern
+/// tiers are replicated, not summed). The covered graph ids double as
+/// the router's translation table from shard-local subgraph indices to
+/// corpus-global ones.
 struct ViewCoverage {
   ClassLabel label = -1;
   uint64_t patterns = 0;    ///< pattern-tier size (replicated across shards)
@@ -154,11 +163,11 @@ struct ViewCoverage {
   uint64_t nodes = 0;       ///< total nodes across explanation subgraphs
   uint64_t edges = 0;       ///< total edges across explanation subgraphs
   double explainability = 0.0;  ///< summed subgraph explainability
-  std::vector<uint64_t> graph_indices;  ///< kShardInfo: covered graph ids
+  std::vector<uint64_t> graph_indices;  ///< covered graph ids, tier order
   bool operator==(const ViewCoverage&) const = default;
 };
 
-/// \brief Per-route registry state as reported by kGenerations / kStats.
+/// \brief Per-route registry state as reported by kHealth / kStats.
 struct RouteInfo {
   std::string route;
   uint64_t generation = 0;
@@ -188,12 +197,12 @@ struct Response {
   std::vector<Graph> patterns;       // kDiscriminativePatterns
   ClassLabel predicted = -1;         // kClassifyExplain
   std::vector<float> probabilities;  // kClassifyExplain
-  std::vector<RouteInfo> routes;     // kGenerations
+  std::vector<RouteInfo> routes;     // kHealth; kInstall/kFetch: their route
   std::string bundle;                // kFetch: gvexbundle-v1 bytes
   std::string text;                  // kPing / kStats / kInstall summary
   bool has_health = false;           // kHealth
   HealthInfo health;                 // kHealth
-  std::vector<ViewCoverage> coverage;  // kShardInfo/kCoverageStats/kTopViews
+  std::vector<ViewCoverage> coverage;  // kCoverageStats
   // Scatter-gather accounting, filled by the ShardRouter: how many
   // shards the query fanned out to and how many answered. 0/0 on a
   // direct (non-routed) response.
@@ -205,6 +214,25 @@ struct Response {
     return ok() ? Status::OK() : Status(code, message);
   }
 };
+
+// ---- per-request rules shared by every request handler ----------------------
+
+/// The error-coded response to `req`: only `id`, `code` and `message`.
+Response ErrorResponse(const Request& req, const Status& status);
+
+/// `req.route`, or cluster::kDefaultRoute when it is empty.
+const std::string& RouteOf(const Request& req);
+
+/// kSupport / kSubgraphsContaining / kFindHits: a pattern matched into a
+/// view's explanation subgraphs.
+bool IsPatternQuery(RequestType type);
+
+/// InvalidArgument when `req.route` is set but is not a valid route name.
+Status ValidateRoute(const Request& req);
+
+/// Rank coverage rows by explainability descending (ties: label
+/// ascending), then keep the first `top_k` (0 = keep all).
+void RankCoverage(std::vector<ViewCoverage>* rows, uint32_t top_k);
 
 // ---- body codecs ------------------------------------------------------------
 

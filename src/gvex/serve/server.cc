@@ -1,6 +1,7 @@
 #include "gvex/serve/server.h"
 
 #include <algorithm>
+#include <array>
 #include <condition_variable>
 #include <cstdlib>
 #include <utility>
@@ -19,19 +20,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-Response ErrorResponse(const Request& req, const Status& st) {
-  Response resp;
-  resp.id = req.id;
-  resp.code = st.code();
-  resp.message = st.message();
-  return resp;
-}
-
-const std::string& RouteOf(const Request& req) {
-  static const std::string kDefault = cluster::kDefaultRoute;
-  return req.route.empty() ? kDefault : req.route;
-}
-
 RouteInfo ToRouteInfo(const RouteStatus& status) {
   RouteInfo info;
   info.route = status.route;
@@ -43,12 +31,6 @@ RouteInfo ToRouteInfo(const RouteStatus& status) {
   return info;
 }
 
-bool IsPatternQuery(RequestType type) {
-  return type == RequestType::kSupport ||
-         type == RequestType::kSubgraphsContaining ||
-         type == RequestType::kFindHits;
-}
-
 bool HasPair(const Graph& pattern, const Graph& target,
              const MatchOptions& options, bool use_cache) {
   if (use_cache) {
@@ -57,38 +39,27 @@ bool HasPair(const Graph& pattern, const Graph& target,
   return Vf2Matcher::HasMatch(pattern, target, options);
 }
 
-/// Per-endpoint latency histograms, resolved once (registry references
-/// are stable for the process lifetime).
+/// Per-endpoint latency histograms `serve.exec_<name>_us`, resolved
+/// once from the wire names (registry references are stable for the
+/// process lifetime).
 obs::Histogram& EndpointHistogram(RequestType type) {
-  static obs::Histogram* hists[] = {
-      &obs::Registry::Global().GetHistogram("serve.exec_ping_us"),
-      &obs::Registry::Global().GetHistogram("serve.exec_support_us"),
-      &obs::Registry::Global().GetHistogram("serve.exec_contains_us"),
-      &obs::Registry::Global().GetHistogram("serve.exec_hits_us"),
-      &obs::Registry::Global().GetHistogram("serve.exec_discriminative_us"),
-      &obs::Registry::Global().GetHistogram("serve.exec_classify_us"),
-      &obs::Registry::Global().GetHistogram("serve.exec_stats_us"),
-      &obs::Registry::Global().GetHistogram("serve.exec_shutdown_us"),
-      &obs::Registry::Global().GetHistogram("serve.exec_install_us"),
-      &obs::Registry::Global().GetHistogram("serve.exec_generations_us"),
-      &obs::Registry::Global().GetHistogram("serve.exec_fetch_us"),
-      &obs::Registry::Global().GetHistogram("serve.exec_health_us"),
-      &obs::Registry::Global().GetHistogram("serve.exec_shardinfo_us"),
-      &obs::Registry::Global().GetHistogram("serve.exec_coverage_us"),
-      &obs::Registry::Global().GetHistogram("serve.exec_topviews_us"),
-      &obs::Registry::Global().GetHistogram("serve.exec_ingest_us"),
-      &obs::Registry::Global().GetHistogram("serve.exec_evaluate_us"),
-  };
-  static_assert(sizeof(hists) / sizeof(hists[0]) ==
-                    static_cast<size_t>(RequestType::kEvaluate) + 1,
-                "one histogram per request type");
+  static const std::array<obs::Histogram*, kRequestTypeLimit> hists = [] {
+    std::array<obs::Histogram*, kRequestTypeLimit> table{};
+    for (size_t i = 0; i < kRequestTypeLimit; ++i) {
+      if (const char* name = RequestTypeName(static_cast<RequestType>(i))) {
+        table[i] = &obs::Registry::Global().GetHistogram(
+            std::string("serve.exec_") + name + "_us");
+      }
+    }
+    return table;
+  }();
   return *hists[static_cast<size_t>(type)];
 }
 
 /// Local coverage summary of one view: what this server's slice of the
 /// corpus contributes, recomputed from the subgraph tier in tier order
 /// (the same summation order on a shard slice and on a union server).
-ViewCoverage CoverageOf(const ExplanationView& view, bool with_graph_ids) {
+ViewCoverage CoverageOf(const ExplanationView& view) {
   ViewCoverage c;
   c.label = view.label;
   c.patterns = view.patterns.size();
@@ -97,7 +68,7 @@ ViewCoverage CoverageOf(const ExplanationView& view, bool with_graph_ids) {
     c.nodes += sub.subgraph.num_nodes();
     c.edges += sub.subgraph.num_edges();
     c.explainability += sub.explainability;
-    if (with_graph_ids) c.graph_indices.push_back(sub.graph_index);
+    c.graph_indices.push_back(sub.graph_index);
   }
   return c;
 }
@@ -564,10 +535,8 @@ Response ExplanationServer::Execute(const Request& req,
       break;
   }
 
-  if (!req.route.empty() && !cluster::IsValidRouteName(req.route)) {
-    return ErrorResponse(
-        req, Status::InvalidArgument("invalid route name: '" + req.route +
-                                     "' (want 1..64 chars of [A-Za-z0-9_.-])"));
+  if (Status route = ValidateRoute(req); !route.ok()) {
+    return ErrorResponse(req, route);
   }
   if (registry_ == nullptr) {
     return ErrorResponse(req, Status::FailedPrecondition("no view registry"));
@@ -603,13 +572,6 @@ Response ExplanationServer::Execute(const Request& req,
     return resp;
   }
 
-  if (req.type == RequestType::kGenerations) {
-    for (const RouteStatus& status : registry_->RouteStatuses()) {
-      resp.routes.push_back(ToRouteInfo(status));
-    }
-    return resp;
-  }
-
   if (req.type == RequestType::kFetch) {
     const std::string& route = RouteOf(req);
     Result<cluster::ViewBundle> bundle = registry_->MakeBundle(route);
@@ -635,31 +597,14 @@ Response ExplanationServer::Execute(const Request& req,
                          Status::FailedPrecondition("no views loaded"));
   }
 
-  // Shard / scatter-gather verbs: pure registry reads, no matching work.
-  // A shard reports its local slice; the ShardRouter merges rows by
-  // summation (docs/WIRE_PROTOCOL.md).
-  if (req.type == RequestType::kShardInfo ||
-      req.type == RequestType::kCoverageStats ||
-      req.type == RequestType::kTopViews) {
-    const bool with_ids = req.type == RequestType::kShardInfo;
+  // Coverage: a pure registry read, no matching work. A shard reports
+  // its local slice; the ShardRouter merges rows by summation
+  // (docs/WIRE_PROTOCOL.md).
+  if (req.type == RequestType::kCoverageStats) {
     for (const ExplanationView& view : snap->views.views) {
-      resp.coverage.push_back(CoverageOf(view, with_ids));
+      resp.coverage.push_back(CoverageOf(view));
     }
-    if (req.type == RequestType::kTopViews) {
-      std::sort(resp.coverage.begin(), resp.coverage.end(),
-                [](const ViewCoverage& a, const ViewCoverage& b) {
-                  if (a.explainability != b.explainability) {
-                    return a.explainability > b.explainability;
-                  }
-                  return a.label < b.label;
-                });
-      if (resp.coverage.size() > req.top_k) resp.coverage.resize(req.top_k);
-    } else {
-      std::sort(resp.coverage.begin(), resp.coverage.end(),
-                [](const ViewCoverage& a, const ViewCoverage& b) {
-                  return a.label < b.label;
-                });
-    }
+    RankCoverage(&resp.coverage, req.top_k);
     return resp;
   }
   MatchOptions match_options;

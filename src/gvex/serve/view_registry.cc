@@ -44,9 +44,7 @@ Status ViewRegistry::Publish(const std::string& route, ExplanationViewSet views,
                              std::shared_ptr<const GcnClassifier> model,
                              uint64_t source_generation,
                              std::shared_ptr<const QuantizedModel> qmodel) {
-  if (!cluster::IsValidRouteName(route)) {
-    return Status::InvalidArgument("invalid route name: '" + route + "'");
-  }
+  GVEX_RETURN_NOT_OK(cluster::CheckRouteName(route));
   if (qmodel != nullptr && IsExactFp32(route)) {
     return Status::FailedPrecondition(
         "route '" + route + "' is pinned exact-fp32; refusing " +

@@ -62,8 +62,8 @@ struct LoadedViewSet {
   }
 };
 
-/// Per-route snapshot of registry state for stats / the `generations`
-/// endpoint.
+/// Per-route snapshot of registry state for the `stats` and `health`
+/// endpoints.
 struct RouteStatus {
   std::string route;
   uint64_t generation = 0;

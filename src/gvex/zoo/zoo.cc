@@ -9,13 +9,7 @@ namespace gvex {
 namespace zoo {
 namespace {
 
-serve::Response ErrorResponse(const serve::Request& req, const Status& st) {
-  serve::Response resp;
-  resp.id = req.id;
-  resp.code = st.code();
-  resp.message = st.message();
-  return resp;
-}
+using serve::ErrorResponse;
 
 // Per-route score histograms want dynamic names, which the GVEX_*
 // macros' cached-static lookup cannot provide.
@@ -108,8 +102,7 @@ serve::Response ZooManager::Handle(const serve::Request& req,
   }
 
   // Form 3: evaluate `route` against the spec in text.
-  auto config = ConfigFor(req.route.empty() ? std::string("default")
-                                            : req.route);
+  auto config = ConfigFor(serve::RouteOf(req));
   if (!config.ok()) {
     GVEX_COUNTER_INC("zoo.eval_failures");
     return ErrorResponse(req, config.status());

@@ -399,11 +399,11 @@ TEST(ClusterServerTest, GenerationsFetchInstallEndToEnd) {
   EXPECT_EQ(installed.routes[0].source_generation, 5u);
   EXPECT_TRUE(installed.routes[0].warmed);  // install pre-warms
 
-  // Generations reports it.
-  Request generations;
-  generations.type = RequestType::kGenerations;
-  generations.id = 2;
-  Response table = server.Call(generations);
+  // Health reports its generation.
+  Request health;
+  health.type = RequestType::kHealth;
+  health.id = 2;
+  Response table = server.Call(health);
   ASSERT_TRUE(table.ok());
   ASSERT_EQ(table.routes.size(), 1u);
   EXPECT_EQ(table.routes[0].route, "live");

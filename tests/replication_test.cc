@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -65,8 +66,8 @@ struct TestServer {
   std::unique_ptr<SocketServer> socket;
   uint16_t port = 0;
 
-  void Start() {
-    server = std::make_unique<ExplanationServer>(&registry);
+  void Start(serve::ServerOptions options = {}) {
+    server = std::make_unique<ExplanationServer>(&registry, options);
     EXPECT_TRUE(server->Start().ok());
     socket = std::make_unique<SocketServer>(server.get());
     EXPECT_TRUE(socket->Start(Endpoint::Tcp(0)).ok());
@@ -176,6 +177,44 @@ TEST(ReplicationTest, StandbyTailsEveryRoute) {
   EXPECT_EQ(standby.Routes(), (std::vector<std::string>{"a", "b"}));
   EXPECT_EQ(standby.fingerprint("a"), primary.registry.fingerprint("a"));
   EXPECT_EQ(standby.fingerprint("b"), primary.registry.fingerprint("b"));
+  primary.Stop();
+}
+
+TEST(ReplicationTest, PollSucceedsWhilePrimaryQueueIsFull) {
+  TestServer primary;
+  ASSERT_TRUE(primary.registry.InstallViews(ReplViews(12)).ok());
+  serve::ServerOptions small;
+  small.num_workers = 1;
+  small.max_queue = 1;
+  primary.Start(small);
+
+  ViewRegistry standby;
+  Replicator replicator(&standby, primary.FollowOptions());
+  ASSERT_TRUE(replicator.SyncOnce().ok());
+  ASSERT_EQ(replicator.stats().installs, 1u);
+
+  // Saturate the primary: one request held executing, one parked in the
+  // 1-deep queue, so the next queued read sheds with kOverloaded.
+  failpoint::ScopedFailpoint hold("serve.exec_delay", "delay(2000),limit(1)");
+  Request ping;
+  ping.type = RequestType::kPing;
+  ping.id = 1;
+  std::future<Response> executing = primary.server->Submit(ping);
+  while (failpoint::FiredCount("serve.exec_delay") == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::future<Response> queued = primary.server->Submit(ping);
+  ASSERT_EQ(primary.server->Call(ping).code, StatusCode::kOverloaded);
+
+  // The poll rides kHealth, which is answered inline: a busy primary is
+  // not counted as lag.
+  const Status polled = replicator.SyncOnce();
+  EXPECT_TRUE(polled.ok()) << polled.ToString();
+  EXPECT_EQ(replicator.stats().consecutive_failures, 0u);
+  EXPECT_EQ(replicator.stats().installs, 1u);
+
+  EXPECT_TRUE(executing.get().ok());
+  EXPECT_TRUE(queued.get().ok());
   primary.Stop();
 }
 

@@ -153,6 +153,31 @@ TEST(ServeProtocolTest, DecodeRejectsGarbage) {
   EXPECT_FALSE(DecodeRequestBody(body.substr(0, body.size() / 2)).ok());
 }
 
+TEST(ServeProtocolTest, RetiredAndUnknownTypesDecodeToInvalidArgument) {
+  const std::string body = EncodeRequestBody(Request{});  // type 0 (ping)
+  const size_t pos = body.find("type 0\n");
+  ASSERT_NE(pos, std::string::npos);
+  // 9, 12 and 14 are retired; 17 is one past the last; 257 would wrap
+  // to a live type in the 8-bit enum.
+  for (int type : {9, 12, 14, 17, 257}) {
+    std::string patched = body;
+    patched.replace(pos, 7, "type " + std::to_string(type) + "\n");
+    auto decoded = DecodeRequestBody(patched);
+    ASSERT_FALSE(decoded.ok()) << type;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument) << type;
+  }
+  for (int type : {9, 12, 14}) {
+    EXPECT_EQ(RequestTypeName(static_cast<RequestType>(type)), nullptr);
+  }
+  // The five read types keep their names (serve.exec_<name>_us).
+  EXPECT_STREQ(RequestTypeName(RequestType::kSupport), "support");
+  EXPECT_STREQ(RequestTypeName(RequestType::kSubgraphsContaining), "contains");
+  EXPECT_STREQ(RequestTypeName(RequestType::kFindHits), "hits");
+  EXPECT_STREQ(RequestTypeName(RequestType::kDiscriminativePatterns),
+               "discriminative");
+  EXPECT_STREQ(RequestTypeName(RequestType::kClassifyExplain), "classify");
+}
+
 // ---- registry -----------------------------------------------------------------
 
 TEST(ViewRegistryTest, ValidateRejectsBrokenSets) {

@@ -6,6 +6,7 @@
 // kPartialResult rather than a silently wrong aggregate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <utility>
@@ -134,8 +135,7 @@ Request PatternRequest(RequestType type, ClassLabel label) {
 }
 
 void ExpectSameCoverage(const std::vector<ViewCoverage>& fleet,
-                        const std::vector<ViewCoverage>& single,
-                        bool with_graph_ids) {
+                        const std::vector<ViewCoverage>& single) {
   ASSERT_EQ(fleet.size(), single.size());
   for (size_t i = 0; i < fleet.size(); ++i) {
     EXPECT_EQ(fleet[i].label, single[i].label);
@@ -146,9 +146,9 @@ void ExpectSameCoverage(const std::vector<ViewCoverage>& fleet,
     // Per-shard partial sums re-associate the FP addition; equality to
     // well past printing precision, not bit-equality, is the contract.
     EXPECT_NEAR(fleet[i].explainability, single[i].explainability, 1e-9);
-    if (with_graph_ids) {
-      EXPECT_EQ(fleet[i].graph_indices, single[i].graph_indices);
-    }
+    // The merged covered-graph lists are the router's translation table;
+    // they must equal the union server's ascending lists exactly.
+    EXPECT_EQ(fleet[i].graph_indices, single[i].graph_indices);
   }
 }
 
@@ -177,7 +177,7 @@ TEST(ShardRouterTest, ContainsTranslatesToUnionIndices) {
     const Response single = f.union_server->Call(req);
     ASSERT_TRUE(fleet.ok()) << fleet.message;
     ASSERT_TRUE(single.ok()) << single.message;
-    // Shard-local positions were translated through the kShardInfo
+    // Shard-local positions were translated through the shard-info
     // table; the merged list must equal the union server's exactly.
     EXPECT_EQ(fleet.indices, single.indices);
     EXPECT_EQ(fleet.support, single.support);
@@ -215,48 +215,58 @@ TEST(ShardRouterTest, DiscriminativeIntersectionMatchesUnion) {
   }
 }
 
-TEST(ShardRouterTest, CoverageStatsEqualUnionServer) {
-  Fleet& f = SharedFleet();
+Request CoverageRequest(uint32_t top_k) {
   Request req;
   req.type = RequestType::kCoverageStats;
   req.route = kRoute;
+  req.top_k = top_k;
+  return req;
+}
+
+TEST(ShardRouterTest, CoverageStatsEqualUnionServer) {
+  Fleet& f = SharedFleet();
+  // top_k 0 means no cap: every label comes back.
+  const Request req = CoverageRequest(0);
   const Response fleet = f.router->Call(req);
   const Response single = f.union_server->Call(req);
   ASSERT_TRUE(fleet.ok()) << fleet.message;
   ASSERT_TRUE(single.ok()) << single.message;
-  ExpectSameCoverage(fleet.coverage, single.coverage,
-                     /*with_graph_ids=*/false);
+  ExpectSameCoverage(fleet.coverage, single.coverage);
+  EXPECT_EQ(fleet.coverage.size(), FleetViews().views.size());
 }
 
 TEST(ShardRouterTest, ShardInfoMergesToUnionCoverage) {
   Fleet& f = SharedFleet();
-  Request req;
-  req.type = RequestType::kShardInfo;
-  req.route = kRoute;
+  const Request req = CoverageRequest(0);
   const Response fleet = f.router->Call(req);
   const Response single = f.union_server->Call(req);
   ASSERT_TRUE(fleet.ok()) << fleet.message;
   ASSERT_TRUE(single.ok()) << single.message;
-  // The merged covered-graph lists are the router's translation table;
-  // they must equal the union server's ascending lists exactly.
-  ExpectSameCoverage(fleet.coverage, single.coverage,
-                     /*with_graph_ids=*/true);
+  // The shard-info table the router translates through is the merged
+  // covered-graph lists; they must equal the union server's exactly and
+  // every covered graph must show up in some label's list.
+  ExpectSameCoverage(fleet.coverage, single.coverage);
+  size_t covered = 0;
+  for (const ViewCoverage& row : fleet.coverage) {
+    EXPECT_TRUE(std::is_sorted(row.graph_indices.begin(),
+                               row.graph_indices.end()));
+    covered += row.graph_indices.size();
+  }
+  EXPECT_GT(covered, 0u);
 }
 
 TEST(ShardRouterTest, TopViewsRanksAndTruncatesLikeUnion) {
   Fleet& f = SharedFleet();
+  const size_t labels = FleetViews().views.size();
   for (uint32_t top_k : {1u, 2u, 10u}) {
-    Request req;
-    req.type = RequestType::kTopViews;
-    req.route = kRoute;
-    req.top_k = top_k;
+    const Request req = CoverageRequest(top_k);
     const Response fleet = f.router->Call(req);
     const Response single = f.union_server->Call(req);
     ASSERT_TRUE(fleet.ok()) << fleet.message;
     ASSERT_TRUE(single.ok()) << single.message;
-    ExpectSameCoverage(fleet.coverage, single.coverage,
-                       /*with_graph_ids=*/false);
-    EXPECT_LE(fleet.coverage.size(), static_cast<size_t>(top_k));
+    ExpectSameCoverage(fleet.coverage, single.coverage);
+    EXPECT_EQ(fleet.coverage.size(), std::min<size_t>(top_k, labels))
+        << "top_k " << top_k;
   }
 }
 

@@ -12,6 +12,9 @@
 #   4. Every artifact format token (`gvex<name>-v<N>`) named in README.md,
 #      DESIGN.md, EXPERIMENTS.md or docs/*.md is a string literal under
 #      src/, so the docs promise no format the code cannot read.
+#   5. Every `--type <name>` token in README.md and docs/*.md is a wire
+#      name RequestTypeName returns (the name table in protocol.cc), so
+#      no doc advertises a retired verb.
 #
 # Run from the repo root (ctest sets the working directory); exits
 # non-zero listing every violation, so one run shows all drift.
@@ -79,6 +82,17 @@ FORMAT_DOCS=(README.md DESIGN.md EXPERIMENTS.md docs/*.md)
 for token in $(grep -ohE 'gvex[a-z]+-v[0-9]+' "${FORMAT_DOCS[@]}" | sort -u); do
   if ! grep -rqF "\"$token\"" src; then
     complain "format $token is documented but no \"$token\" literal is in src/"
+  fi
+done
+
+echo "== docs-lint: client --type names vs the wire-name table"
+TYPE_NAMES="$(sed -n '/kNames\[\] = {/,/};/p' src/gvex/serve/protocol.cc \
+  | grep -oE '"[a-z]+"' | tr -d '"')"
+[[ -n "$TYPE_NAMES" ]] || complain "no type names parsed from protocol.cc"
+for name in $(grep -ohE -- '--type [a-z]+' README.md docs/*.md \
+                | awk '{print $2}' | sort -u); do
+  if ! grep -qxF "$name" <<< "$TYPE_NAMES"; then
+    complain "--type $name is documented but is not a RequestTypeName"
   fi
 done
 

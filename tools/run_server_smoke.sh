@@ -36,7 +36,7 @@
 # A fleet leg (docs/ARCHITECTURE.md "Sharded fleet") shards one view set
 # across three servers with `shardmap` + `publish --shard-map`, fronts
 # them with `gvex_tool frontend`, and diffs every query type — including
-# the scatter-gathered coverage/topviews/shardinfo verbs — byte-for-byte
+# the scatter-gathered coverage verb, uncapped and --top-k 2 — byte-for-byte
 # against `client --local` over the unsharded views. It then kills one
 # shard mid-fleet and asserts a scatter comes back flagged with the
 # distinct kPartialResult exit (15) — merged-but-incomplete, never a
@@ -280,7 +280,7 @@ STANDBY_PID=$!
 wait_for_line standby.log "$STANDBY_PID" "following"
 
 gen1_fp() {  # fingerprint of the primary's live generation
-  "$TOOL" client --socket "$PRIMARY_SOCK" --type generations \
+  "$TOOL" client --socket "$PRIMARY_SOCK" --type health \
     | sed -n 's/.*fingerprint \([0-9a-f]\{16\}\).*/\1/p'
 }
 FP1="$(gen1_fp)"
@@ -306,7 +306,7 @@ set +e
 rc=$?
 set -e
 [[ "$rc" -eq 8 ]] || fail "expected publish exit 8 (kIoError), got $rc"
-"$TOOL" client --socket "$PRIMARY_SOCK" --type generations | grep -q "$FP1" \
+"$TOOL" client --socket "$PRIMARY_SOCK" --type health | grep -q "$FP1" \
   || fail "torn install replaced the live generation"
 
 echo "== cluster: clean publish replicates to the standby"
@@ -550,8 +550,7 @@ wait_for_line frontend.log "$FRONT_PID" "frontend serving on"
 
 FLEET_QUERIES=("${QUERIES[@]}"
   "--type coverage"
-  "--type topviews --top-k 2"
-  "--type shardinfo")
+  "--type coverage --top-k 2")
 for q in "${FLEET_QUERIES[@]}"; do
   # shellcheck disable=SC2086
   "$TOOL" client --socket "$FRONT" $q > fleet.out
